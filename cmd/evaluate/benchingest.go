@@ -171,8 +171,7 @@ func runBenchIngest(base eval.RunConfig, workers, shards plan.Knob, path string)
 	b.ParseBytesAllocsPerRec = allocs / recs
 
 	sec, _ = measure(func() {
-		if _, err := clf.StreamParallel(bytes.NewReader(data),
-			runtime.GOMAXPROCS(0), clf.DefaultStreamDepth, func(clf.Record) {}); err != nil {
+		if err := parseDrop(data, runtime.GOMAXPROCS(0), clf.DefaultStreamDepth, 0); err != nil {
 			panic(err)
 		}
 	})
@@ -185,9 +184,7 @@ func runBenchIngest(base eval.RunConfig, workers, shards plan.Knob, path string)
 		b.ParsePlannedRecsPerSec = b.ParseBytesRecsPerSec
 	} else {
 		sec, _ = measure(func() {
-			clf.StreamParallelOffsetsChunked(bytes.NewReader(data),
-				parsePl.Workers, parsePl.StreamDepth, parsePl.ChunkBytes,
-				func(clf.Record) {}, nil)
+			parseDrop(data, parsePl.Workers, parsePl.StreamDepth, parsePl.ChunkBytes)
 		})
 		b.ParsePlannedRecsPerSec = recs / sec
 	}

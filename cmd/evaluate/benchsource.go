@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"compress/gzip"
 	"os"
 	"path/filepath"
@@ -10,8 +11,8 @@ import (
 
 // sourceBench holds the per-source-kind throughput measurements shared by
 // -benchingest and -benchstream: the same simulated log streamed through
-// clf.StreamFiles from a plain file via the buffered reader, the same file
-// via mmap, and a gzip copy through the decode path. All three drop records
+// clf.StreamFilesChunked from a plain file via the buffered reader, the
+// same file via mmap, and a gzip copy through the decode path. All three drop records
 // as they arrive (no retention), so the numbers are directly comparable to
 // each other and to the in-memory stream baselines measured the same way.
 type sourceBench struct {
@@ -27,8 +28,8 @@ type sourceBench struct {
 }
 
 // measureSources writes data to a temp plain file and a gzip copy, then
-// times clf.StreamFiles over each source kind at the given worker width
-// (<= 0 means all cores, matching clf.StreamConfig).
+// times clf.StreamFilesChunked over each source kind at the given worker
+// width (<= 0 means all cores, matching clf.StreamConfig).
 func measureSources(data []byte, recs float64, workers int) (sourceBench, error) {
 	var sb sourceBench
 	dir, err := os.MkdirTemp("", "benchsource")
@@ -56,12 +57,11 @@ func measureSources(data []byte, recs float64, workers int) (sourceBench, error)
 		return sb, err
 	}
 
-	drop := func(clf.Record) {}
 	run := func(path string, noMmap bool) (float64, error) {
 		var ferr error
 		sec, _ := measure(func() {
-			if _, err := clf.StreamFiles([]string{path},
-				clf.StreamConfig{Workers: workers, NoMmap: noMmap}, drop, nil); err != nil && ferr == nil {
+			if _, err := clf.StreamFilesChunked([]string{path},
+				clf.StreamConfig{Workers: workers, NoMmap: noMmap}, dropChunk, nil); err != nil && ferr == nil {
 				ferr = err
 			}
 		})
@@ -80,4 +80,29 @@ func measureSources(data []byte, recs float64, workers int) (sourceBench, error)
 		return sb, err
 	}
 	return sb, nil
+}
+
+// dropRecord is the no-op consumer every reader benchmark times. It is a
+// variable so each record costs one indirect call: a constant function
+// would let the compiler delete the per-record visit, and the benchmarks
+// would time a cheaper loop than any real consumer runs.
+var dropRecord = func(clf.Record) {}
+
+// dropChunk visits a delivered chunk record by record through dropRecord.
+func dropChunk(recs []clf.Record) {
+	for i := range recs {
+		dropRecord(recs[i])
+	}
+}
+
+// parseDrop parses data the way the parallel-parse measurements time it:
+// one worker runs the line-at-a-time scanner, more fan ~chunkBytes chunks
+// (<= 0 means the ~1 MiB default) out over the worker pool.
+func parseDrop(data []byte, workers, depth, chunkBytes int) error {
+	if workers == 1 {
+		_, err := clf.Stream(bytes.NewReader(data), dropRecord)
+		return err
+	}
+	_, err := clf.StreamChunked(bytes.NewReader(data), workers, depth, chunkBytes, dropChunk, nil)
+	return err
 }

@@ -17,8 +17,8 @@ import (
 )
 
 // streamBench is the JSON record -benchstream emits: one self-benchmark of
-// the bounded-memory streaming path (clf.Stream/StreamParallel and the
-// end-to-end streaming-sessionizer Ingest pipeline) over a simulated log at
+// the bounded-memory streaming path (clf.Stream/StreamChunked and the
+// end-to-end core.Run streaming-sessionizer pipeline) over a simulated log at
 // the configured -agents scale. CI runs this and uploads the file;
 // EXPERIMENTS.md tracks the trajectory.
 //
@@ -39,7 +39,7 @@ type streamBench struct {
 	Plan string `json:"plan"`
 
 	// Reader stage: sequential Scanner-based Stream, the chunk-parallel
-	// in-order StreamParallel at full width, and the planned reader.
+	// in-order StreamChunked at full width, and the planned reader.
 	StreamRecsPerSec           float64 `json:"stream_recs_per_sec"`
 	StreamAllocsPerRec         float64 `json:"stream_allocs_per_rec"`
 	StreamParallelRecsPerSec   float64 `json:"stream_parallel_recs_per_sec"`
@@ -61,7 +61,7 @@ type streamBench struct {
 	// was measured against).
 	TailRecsPerSec float64 `json:"tail_recs_per_sec"`
 
-	// End to end: the chunked reader feeding a sessionizer via Ingest — the
+	// End to end: the chunked reader feeding a sessionizer via core.Run — the
 	// cmd/sessionize -stream / cmd/serve -backfill deployment — plus the
 	// heap high-water mark observed while it ran (the bounded-memory
 	// claim's number; excludes the benchmark's own in-memory input copy).
@@ -143,8 +143,7 @@ func runBenchStream(base eval.RunConfig, workers, shards, depth plan.Knob, path 
 	b.StreamAllocsPerRec = allocs / recs
 
 	sec, allocs = measure(func() {
-		if _, err := clf.StreamParallel(bytes.NewReader(data),
-			runtime.GOMAXPROCS(0), clf.DefaultStreamDepth, func(clf.Record) {}); err != nil {
+		if err := parseDrop(data, runtime.GOMAXPROCS(0), clf.DefaultStreamDepth, 0); err != nil {
 			panic(err)
 		}
 	})
@@ -157,8 +156,7 @@ func runBenchStream(base eval.RunConfig, workers, shards, depth plan.Knob, path 
 		b.StreamPlannedRecsPerSec = b.StreamRecsPerSec
 	} else {
 		sec, _ = measure(func() {
-			if _, err := clf.StreamParallelOffsetsChunked(bytes.NewReader(data),
-				pl.Workers, pl.StreamDepth, pl.ChunkBytes, func(clf.Record) {}, nil); err != nil {
+			if err := parseDrop(data, pl.Workers, pl.StreamDepth, pl.ChunkBytes); err != nil {
 				panic(err)
 			}
 		})
@@ -202,7 +200,7 @@ func runBenchStream(base eval.RunConfig, workers, shards, depth plan.Knob, path 
 			panic(err)
 		}
 		src := &heapSampler{r: bytes.NewReader(data)}
-		if _, err := st.Ingest(src, core.DiscardSessions); err != nil {
+		if _, err := core.Run(st, core.Input{Reader: src}, core.RunOptions{}); err != nil {
 			panic(err)
 		}
 		st.Flush()
@@ -223,7 +221,7 @@ func runBenchStream(base eval.RunConfig, workers, shards, depth plan.Knob, path 
 		if err != nil {
 			panic(err)
 		}
-		if _, err := st.Ingest(bytes.NewReader(data), core.DiscardSessions); err != nil {
+		if _, err := core.Run(st, core.Input{Reader: bytes.NewReader(data)}, core.RunOptions{}); err != nil {
 			panic(err)
 		}
 		st.Flush()

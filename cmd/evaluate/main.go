@@ -19,8 +19,8 @@
 // the measurement (ns/op, allocs/op, sessions/sec) is written as JSON —
 // the data behind BENCH_point.json and the CI bench artifact. -benchingest
 // does the same for the batch ingestion layer, and -benchstream for the
-// bounded-memory streaming path (Stream/StreamParallel and the end-to-end
-// streaming-sessionizer Ingest pipeline, including its heap high-water
+// bounded-memory streaming path (Stream/StreamChunked and the end-to-end
+// streaming-sessionizer core.Run pipeline, including its heap high-water
 // mark) — the data behind BENCH_stream.json. Both bench modes size their
 // parallel paths with the adaptive execution planner (-bench-workers,
 // -shards, -stream-depth, all defaulting to "auto") and record the chosen
@@ -63,7 +63,7 @@ func main() {
 		progress   = flag.Bool("progress", false, "report per-point progress and a metrics snapshot on stderr")
 		benchjson  = flag.String("benchjson", "", "benchmark one evaluation point and write the measurement as JSON to this file ('-' for stdout), instead of sweeping")
 		benchingst = flag.String("benchingest", "", "benchmark the streaming ingestion layer (parse, Tail, ShardedTail) and write the measurement as JSON to this file ('-' for stdout), instead of sweeping")
-		benchstrm  = flag.String("benchstream", "", "benchmark the bounded-memory streaming path (Stream, StreamParallel, streaming-sessionizer Ingest) and write the measurement as JSON to this file ('-' for stdout), instead of sweeping")
+		benchstrm  = flag.String("benchstream", "", "benchmark the bounded-memory streaming path (Stream, StreamChunked, streaming-sessionizer core.Run) and write the measurement as JSON to this file ('-' for stdout), instead of sweeping")
 		benchWkrs  = flag.String("bench-workers", "auto", "parse workers for -benchingest/-benchstream: auto (planned) or a number")
 		shards     = flag.String("shards", "auto", "sessionizer shard count for -benchingest/-benchstream: auto (planned) or a number (<=0: all cores)")
 		depth      = flag.String("stream-depth", "auto", "in-flight parsed chunks for -benchstream: auto (planned) or a number")

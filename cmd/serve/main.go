@@ -79,6 +79,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -168,7 +169,7 @@ func main() {
 		shards  = flag.String("shards", "auto", "ShardedTail shard count for -sessions: auto (planned) or a number (0 = all cores)")
 		workers = flag.String("workers", "auto", "parse goroutines for -backfill and checkpoint replay: auto (planned), 0 sequential, -1 all cores")
 		depth   = flag.String("stream-depth", "auto", "in-flight parsed chunks for replay: auto (planned) or a number (bounds replay heap, never changes output)")
-		batch   = flag.String("batch", "auto", "replay delivery granularity: auto (planned), 1 per-record, 0 whole chunks, n>1 sub-batches of n (never changes output)")
+		batch   = flag.String("batch", "auto", "replay delivery granularity: auto (planned), 1 per-record, 0 whole chunks (never changes output)")
 	)
 	flag.StringVar(&o.topoPath, "topology", "", "topology JSON written by simgen (required)")
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
@@ -199,7 +200,7 @@ func main() {
 	if o.shards, err = plan.ParseKnob("shards", *shards); err == nil {
 		if o.workers, err = plan.ParseKnob("workers", *workers); err == nil {
 			if o.depth, err = plan.ParseKnob("stream-depth", *depth); err == nil {
-				o.batch, err = plan.ParseKnob("batch", *batch)
+				o.batch, err = plan.ParseBatchKnob(*batch)
 			}
 		}
 	}
@@ -652,17 +653,27 @@ func (s *server) recoverFromCheckpoint() error {
 	// Load the cut journal: cuts newer than the snapshot (Seq > CutSeq) are
 	// re-applied during replay at their recorded record boundaries, so the
 	// replayed suffix interleaves timed-expiry emission exactly as the
-	// crashed run did. New cuts continue the journal's numbering.
+	// crashed run did. New cuts continue the journal's numbering, appended
+	// after the last complete line: a torn final append from the crash is
+	// cut off first, or the next cut would glue onto it.
 	var pendingCuts []core.ExpiryCut
 	if s.cutsFile != nil {
 		if _, err := s.cutsFile.Seek(0, io.SeekStart); err != nil {
 			return err
 		}
-		allCuts, err := core.ReadCuts(s.cutsFile)
+		journal, err := io.ReadAll(s.cutsFile)
 		if err != nil {
 			return fmt.Errorf("read cut journal: %w", err)
 		}
-		if _, err := s.cutsFile.Seek(0, io.SeekEnd); err != nil {
+		complete := int64(bytes.LastIndexByte(journal, '\n') + 1)
+		allCuts, err := core.ReadCuts(bytes.NewReader(journal[:complete]))
+		if err != nil {
+			return fmt.Errorf("read cut journal: %w", err)
+		}
+		if err := s.cutsFile.Truncate(complete); err != nil {
+			return fmt.Errorf("drop torn cut journal tail: %w", err)
+		}
+		if _, err := s.cutsFile.Seek(complete, io.SeekStart); err != nil {
 			return err
 		}
 		var appliedSeq int64
@@ -704,7 +715,8 @@ func (s *server) recoverFromCheckpoint() error {
 	if len(pendingCuts) > 0 {
 		progress = nil
 	}
-	malformed, err := s.tee.st.IngestFilesCuts([]string{s.logPath}, clf.FilePos{Offset: logOff}, base, pendingCuts, s.tee.emit, progress)
+	malformed, err := core.Run(s.tee.st, core.Input{Paths: []string{s.logPath}, Start: clf.FilePos{Offset: logOff}},
+		core.RunOptions{Sink: s.tee.emit, Progress: progress, Base: base, Cuts: pendingCuts})
 	if err != nil {
 		return fmt.Errorf("replay %s: %w", s.logPath, err)
 	}
@@ -1025,7 +1037,7 @@ func (t *sessionTee) rotate(path string) error {
 // history stay buffered so live traffic from the same users continues them
 // seamlessly.
 func (t *sessionTee) backfill(paths []string) error {
-	malformed, err := t.st.IngestFiles(paths, clf.FilePos{}, t.emit, nil)
+	malformed, err := core.Run(t.st, core.Input{Paths: paths}, core.RunOptions{Sink: t.emit})
 	if err != nil {
 		return fmt.Errorf("backfill %s: %w", strings.Join(paths, ","), err)
 	}

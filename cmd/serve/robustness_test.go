@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
 	"os"
@@ -12,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"smartsra/internal/clf"
 	"smartsra/internal/core"
 	"smartsra/internal/loadgen"
 	"smartsra/internal/metrics"
@@ -95,8 +95,7 @@ func sigtermAndWait(t *testing.T, child *soakProc) {
 // graceful shutdown the offline replay — the access log plus the journaled
 // expiry cuts — must reproduce the live session file byte for byte. The cut
 // journal is what makes wall-clock expiry replayable: each live Expire is
-// recorded as an exact record boundary, and IngestFilesCuts re-applies it
-// there.
+// recorded as an exact record boundary, and core.Run re-applies it there.
 func TestLiveOfflineEquivalenceWithExpiry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second subprocess soak")
@@ -175,8 +174,10 @@ func TestLiveOfflineEquivalenceWithExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sessions []session.Session
-	malformed, err := st.IngestFilesCuts([]string{filepath.Join(dir, "access.log")}, clf.FilePos{}, 0, cuts,
-		func(s []session.Session) { sessions = append(sessions, s...) }, nil)
+	malformed, err := core.Run(st, core.Input{Paths: []string{filepath.Join(dir, "access.log")}}, core.RunOptions{
+		Sink: func(s []session.Session) { sessions = append(sessions, s...) },
+		Cuts: cuts,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +196,129 @@ func TestLiveOfflineEquivalenceWithExpiry(t *testing.T) {
 	}
 	t.Logf("byte-identical with expiry on: %d sessions, %d bytes, %d cuts replayed (replay: %s)",
 		len(sessions), len(got), len(cuts), rep)
+}
+
+// TestTornCutJournalRecovery: a crash mid-append leaves a torn final line in
+// the cut journal. Recovery must cut it off before journaling again —
+// otherwise the next cut glues onto the fragment, and the journal either
+// misplaces that cut (a fragment that still parses as three numbers) or
+// fails to load at the next recovery. Crash after a cut, tear the journal,
+// restart and take another cut, crash and recover again, then pin the
+// journal's shape and live ≡ offline.
+func TestTornCutJournalRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second subprocess soak")
+	}
+	const gap = 300 * time.Millisecond
+	dir := t.TempDir()
+	g, reqs := soakCorpus(t, dir, 60, 13)
+	addr := freeAddr(t)
+	env := []string{"SERVE_SOAK_GAP=" + gap.String(), "SERVE_SOAK_EXPIRE=60ms"}
+	journal := filepath.Join(dir, "sessions.txt.cuts")
+	readJournal := func() []core.ExpiryCut {
+		t.Helper()
+		f, err := os.Open(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		cuts, err := core.ReadCuts(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cuts
+	}
+	// serveUntilCut replays part of the schedule unpaced, waits for the
+	// users to go quiet and the expiry sweep to journal more than have cuts,
+	// then SIGKILLs the child.
+	serveUntilCut := func(child *soakProc, part []simulator.Request, have int) {
+		t.Helper()
+		if _, err := loadgen.Run(context.Background(), loadgen.Config{
+			BaseURL:  "http://" + addr,
+			Requests: part,
+			Workers:  4,
+			Timeout:  2 * time.Second,
+			Registry: metrics.NewRegistry(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(20 * time.Second)
+		for len(readJournal()) <= have {
+			if time.Now().After(deadline) {
+				t.Fatalf("no cut journaled past %d; output:\n%s", have, child.output())
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+		if err := child.cmd.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		child.cmd.Wait()
+	}
+	restart := func() *soakProc {
+		t.Helper()
+		child := startServe(t, dir, addr, env...)
+		if !strings.Contains(child.output(), "recovered from") {
+			t.Fatalf("restarted child did not run checkpoint recovery; output:\n%s", child.output())
+		}
+		return child
+	}
+
+	half := len(reqs) / 2
+	serveUntilCut(startServe(t, dir, addr, env...), reqs[:half], 0)
+	before := readJournal()
+	// The tear: the next cut's line cut off inside its timestamp, the shape
+	// that still parses as three numbers when something is glued after it.
+	last := before[len(before)-1]
+	line := fmt.Sprintf("cut %d %d %d", last.Seq+1, last.Records+1, last.At.UnixNano())
+	f, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(line[:len(line)-4]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	serveUntilCut(restart(), reqs[half:], len(before))
+	child := restart()
+	time.Sleep(3 * gap)
+	sigtermAndWait(t, child)
+
+	raw, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := readJournal()
+	if n := bytes.Count(raw, []byte("\n")); n != len(cuts) || !bytes.HasSuffix(raw, []byte("\n")) {
+		t.Fatalf("journal holds %d lines for %d cuts (torn fragment kept?):\n%s", n, len(cuts), raw)
+	}
+	if cuts[len(before)].Seq != last.Seq+1 {
+		t.Fatalf("first cut after the tear has seq %d, want %d", cuts[len(before)].Seq, last.Seq+1)
+	}
+
+	st, err := core.NewShardedTail(core.Config{Graph: g}, gap, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessions []session.Session
+	if _, err := core.Run(st, core.Input{Paths: []string{filepath.Join(dir, "access.log")}}, core.RunOptions{
+		Sink: func(s []session.Session) { sessions = append(sessions, s...) },
+		Cuts: cuts,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := session.WriteAll(&want, append(sessions, st.Flush()...)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "sessions.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("live sessions diverge from the cut-replay of the log after a torn journal:\nlive %d bytes, replay %d bytes (%d cuts)\nchild output:\n%s",
+			len(got), want.Len(), len(cuts), child.output())
+	}
 }
 
 // TestDropReconciliationConservation is the drop-count accounting pin: a

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"smartsra/internal/clf"
 	"smartsra/internal/core"
 	"smartsra/internal/loadgen"
 	"smartsra/internal/metrics"
@@ -288,8 +287,8 @@ func TestSoakCrashRecoveryUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sessions []session.Session
-	malformed, err := st.IngestFiles([]string{logPath}, clf.FilePos{},
-		func(s []session.Session) { sessions = append(sessions, s...) }, nil)
+	malformed, err := core.Run(st, core.Input{Paths: []string{logPath}},
+		core.RunOptions{Sink: func(s []session.Session) { sessions = append(sessions, s...) }})
 	if err != nil {
 		t.Fatal(err)
 	}

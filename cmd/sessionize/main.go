@@ -94,7 +94,7 @@ func main() {
 		workers     = flag.String("workers", "auto", "pipeline parallelism: auto (planned), 0 sequential, -1 all cores, n>0 that many workers (output is identical for any value)")
 		shards      = flag.String("shards", "auto", "streaming sessionizer shard count for -stream: auto (planned) or a number (0 = all cores)")
 		depth       = flag.String("stream-depth", "auto", "in-flight parsed chunks for -stream: auto (planned) or a number (memory/throughput trade, never changes output)")
-		batch       = flag.String("batch", "auto", "sessionizer delivery granularity: auto (planned: whole chunks for files, per-record for pipes), 1 per-record, 0 whole chunks, n>1 sub-batches of n (never changes output)")
+		batch       = flag.String("batch", "auto", "sessionizer delivery granularity: auto (planned: whole chunks for files, per-record for pipes), 1 per-record (stdin read line by line on one worker), 0 whole chunks (never changes output)")
 		expireEvery = flag.Duration("expire-every", 0, "finalize quiet users this often while streaming (0 = auto: 30s for pipes/stdin, off for files; <0 = off)")
 	)
 	flag.StringVar(&o.topoPath, "topology", "", "topology JSON written by simgen (required)")
@@ -118,7 +118,7 @@ func main() {
 	if o.workers, err = plan.ParseKnob("workers", *workers); err == nil {
 		if o.shards, err = plan.ParseKnob("shards", *shards); err == nil {
 			if o.depth, err = plan.ParseKnob("stream-depth", *depth); err == nil {
-				o.batch, err = plan.ParseKnob("batch", *batch)
+				o.batch, err = plan.ParseBatchKnob(*batch)
 			}
 		}
 	}
@@ -350,15 +350,11 @@ func runStream(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths [
 			os.Exit(1)
 		}
 	})
-	var malformed int
-	switch {
-	case paths == nil:
-		malformed, err = st.Ingest(bufio.NewReader(os.Stdin), sink)
-	case len(cuts) > 0:
-		malformed, err = st.IngestFilesCuts(paths, clf.FilePos{}, 0, cuts, sink, nil)
-	default:
-		malformed, err = st.IngestFiles(paths, clf.FilePos{}, sink, nil)
+	in := core.Input{Paths: paths}
+	if paths == nil {
+		in.Reader = bufio.NewReader(os.Stdin)
 	}
+	malformed, err := core.Run(st, in, core.RunOptions{Sink: sink, Cuts: cuts})
 	stopExpire()
 	if err != nil {
 		return err
@@ -486,11 +482,12 @@ func runStreamCheckpointed(cfg core.Config, pl plan.Plan, rho, expire time.Durat
 		}
 		emit(st.Expire(now))
 	})
-	malformed, err := st.IngestFiles(paths, start, func(s []session.Session) {
+	sink := func(s []session.Session) {
 		mu.Lock()
 		defer mu.Unlock()
 		emit(s)
-	}, func(pos clf.FilePos) error {
+	}
+	progress := func(pos clf.FilePos) error {
 		mu.Lock()
 		defer mu.Unlock()
 		cur = pos
@@ -511,7 +508,8 @@ func runStreamCheckpointed(cfg core.Config, pl plan.Plan, rho, expire time.Durat
 			fmt.Fprintln(os.Stderr, "sessionize: checkpoint:", err)
 		}
 		return nil
-	})
+	}
+	malformed, err := core.Run(st, core.Input{Paths: paths, Start: start}, core.RunOptions{Sink: sink, Progress: progress})
 	stopExpire()
 	if err != nil {
 		return err

@@ -70,7 +70,10 @@ func BenchmarkIngest(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := clf.ReadAllParallel(bytes.NewReader(data), workers); err != nil {
+				var all []clf.Record
+				if _, err := clf.StreamChunked(bytes.NewReader(data), workers, 4*workers, 0, func(recs []clf.Record) {
+					all = append(all, recs...)
+				}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -31,8 +31,8 @@ type Checkpoint struct {
 	// LogOffset is the byte offset into the source access log up to which
 	// Tail is consistent: every record before it has been pushed and every
 	// session those records finalized has been written to the sink. Offsets
-	// come from core.IngestOffsets and are line-aligned, so replay can seek
-	// straight to it.
+	// come from core.Run's progress callback and are line-aligned, so
+	// replay can seek straight to it.
 	LogOffset int64
 	// SinkOffset is the size of the session output file at snapshot time,
 	// after flushing. Recovery truncates the session file to this length

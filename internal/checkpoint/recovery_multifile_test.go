@@ -71,7 +71,7 @@ func rotateCorpus(t *testing.T, c corpus, dir string) []string {
 
 // attemptFiles is attempt for the multi-file path: recover from the
 // checkpoint (validating its (file, path) anchor the way cmd/sessionize
-// does), replay the set from the recorded position via IngestFiles,
+// does), replay the set from the recorded position via core.Run,
 // checkpoint every 3rd progress boundary through fsys, and — when
 // killAfter >= 0 — crash by failing the progress callback at that boundary,
 // leaving a torn tail on the session file.
@@ -116,11 +116,12 @@ func attemptFiles(t *testing.T, c corpus, paths []string, sinkPath, ckptPath str
 	bw := bufio.NewWriter(f)
 
 	boundaries := 0
-	_, ingestErr := st.IngestFiles(paths, start, func(s []session.Session) {
+	sink := func(s []session.Session) {
 		if err := session.WriteAll(bw, s); err != nil {
 			t.Fatal(err)
 		}
-	}, func(pos clf.FilePos) error {
+	}
+	progress := func(pos clf.FilePos) error {
 		boundaries++
 		if killAfter >= 0 && boundaries >= killAfter {
 			return errKilled
@@ -146,7 +147,8 @@ func attemptFiles(t *testing.T, c corpus, paths []string, sinkPath, ckptPath str
 			Tail:       st.Snapshot(),
 		})
 		return nil
-	})
+	}
+	_, ingestErr := core.Run(st, core.Input{Paths: paths, Start: start}, core.RunOptions{Sink: sink, Progress: progress})
 
 	if killAfter >= 0 && errors.Is(ingestErr, errKilled) {
 		bw.Flush()

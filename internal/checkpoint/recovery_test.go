@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"smartsra/internal/checkpoint"
+	"smartsra/internal/clf"
 	"smartsra/internal/core"
 	"smartsra/internal/faultio"
 	"smartsra/internal/session"
@@ -109,9 +110,9 @@ func referenceRun(t *testing.T, c corpus) []byte {
 		t.Fatal(err)
 	}
 	var out []session.Session
-	if _, err := st.Ingest(bytes.NewReader(c.log), func(s []session.Session) {
+	if _, err := core.Run(st, core.Input{Reader: bytes.NewReader(c.log)}, core.RunOptions{Sink: func(s []session.Session) {
 		out = append(out, s...)
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	out = append(out, st.Flush()...)
@@ -168,14 +169,15 @@ func attempt(t *testing.T, c corpus, sinkPath, ckptPath string, fsys checkpoint.
 	}
 
 	boundaries := 0
-	_, ingestErr := st.IngestOffsets(reader, func(s []session.Session) {
+	sink := func(s []session.Session) {
 		if err := session.WriteAll(bw, s); err != nil {
 			t.Fatal(err)
 		}
-	}, func(off int64) {
+	}
+	progress := func(pos clf.FilePos) error {
 		boundaries++
 		if boundaries%3 != 0 {
-			return
+			return nil
 		}
 		// A consistent point: flush the sink so SinkOffset covers every
 		// session emitted up to this chunk boundary, then snapshot.
@@ -192,11 +194,13 @@ func attempt(t *testing.T, c corpus, sinkPath, ckptPath string, fsys checkpoint.
 		// A failed save is survivable by design: the previous checkpoint
 		// stays valid, recovery just replays a longer suffix.
 		checkpoint.Save(fsys, ckptPath, &checkpoint.Checkpoint{
-			LogOffset:  start + off,
+			LogOffset:  start + pos.Offset,
 			SinkOffset: size,
 			Tail:       st.Snapshot(),
 		})
-	})
+		return nil
+	}
+	_, ingestErr := core.Run(st, core.Input{Reader: reader}, core.RunOptions{Sink: sink, Progress: progress})
 
 	if killAt >= 0 {
 		if !errors.Is(ingestErr, errKilled) {

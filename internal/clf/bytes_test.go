@@ -3,6 +3,7 @@ package clf
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -227,6 +228,12 @@ func synthLog(seed int64, lines int) string {
 	return sb.String()
 }
 
+// readAllParallel is the parallel batch read Pipeline.ProcessLog performs:
+// StreamChunked with a deep order channel, collected into one slice.
+func readAllParallel(r io.Reader, workers int) ([]Record, int, error) {
+	return streamAll(r, workers, 4*workers, 0, nil)
+}
+
 func TestReadAllParallelMatchesReadAll(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		log := synthLog(seed, 5000)
@@ -235,7 +242,7 @@ func TestReadAllParallelMatchesReadAll(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
-			got, gotBad, err := ReadAllParallel(strings.NewReader(log), workers)
+			got, gotBad, err := readAllParallel(strings.NewReader(log), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +264,7 @@ func TestReadAllParallelMatchesReadAll(t *testing.T) {
 func TestReadAllParallelNoTrailingNewline(t *testing.T) {
 	log := strings.TrimSuffix(synthLog(7, 200), "\n")
 	want, wantBad, _ := ReadAll(strings.NewReader(log))
-	got, gotBad, err := ReadAllParallel(strings.NewReader(log), 4)
+	got, gotBad, err := readAllParallel(strings.NewReader(log), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +278,7 @@ func TestReadAllParallelOversizedLine(t *testing.T) {
 	// paths, and its unterminated tail at EOF does not double-count.
 	huge := sampleLine + "\n" + strings.Repeat("a", maxLineBytes+2)
 	seq, seqBad, seqErr := ReadAll(strings.NewReader(huge))
-	par, parBad, parErr := ReadAllParallel(strings.NewReader(huge), 4)
+	par, parBad, parErr := readAllParallel(strings.NewReader(huge), 4)
 	if seqErr != nil || parErr != nil {
 		t.Fatalf("oversized line must not abort: sequential err=%v, parallel err=%v", seqErr, parErr)
 	}
@@ -300,7 +307,7 @@ func (f *chunkFailReader) Read(p []byte) (int, error) {
 func TestReadAllParallelPartialOnReadError(t *testing.T) {
 	log := synthLog(9, 300)
 	want, _, seqErr := ReadAll(&chunkFailReader{data: []byte(log)})
-	got, _, parErr := ReadAllParallel(&chunkFailReader{data: []byte(log)}, 4)
+	got, _, parErr := readAllParallel(&chunkFailReader{data: []byte(log)}, 4)
 	if seqErr == nil || parErr == nil {
 		t.Fatalf("want read errors, got %v / %v", seqErr, parErr)
 	}

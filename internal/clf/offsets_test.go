@@ -5,19 +5,17 @@ import (
 	"testing"
 )
 
-// TestStreamParallelOffsetsLineAligned pins the replay contract of the
-// progress callback: offsets arrive strictly increasing, each one sits on a
-// line boundary of the input, and the final offset is the input's full
-// length.
+// TestStreamParallelOffsetsLineAligned pins the replay contract of
+// StreamChunked's progress callback: offsets arrive strictly increasing,
+// each one sits on a line boundary of the input, and the final offset is
+// the input's full length.
 func TestStreamParallelOffsetsLineAligned(t *testing.T) {
 	log := synthLog(5, 2500)
 	for _, workers := range []int{1, 3} {
 		for _, chunk := range []int{128, 4096, readChunkSize} {
 			var offsets []int64
-			records := 0
-			_, err := streamParallel(strings.NewReader(log), workers, 2, chunk,
-				func(Record) { records++ },
-				func(off int64) { offsets = append(offsets, off) })
+			_, _, err := streamAll(strings.NewReader(log), workers, 2, chunk,
+				func(pos FilePos) error { offsets = append(offsets, pos.Offset); return nil })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,9 +56,9 @@ func TestStreamParallelOffsetsResume(t *testing.T) {
 	}
 	var bounds []boundary
 	seen := 0
-	if _, err := streamParallel(strings.NewReader(log), 4, 2, 512,
-		func(Record) { seen++ },
-		func(off int64) { bounds = append(bounds, boundary{off, seen}) }); err != nil {
+	if _, err := StreamChunked(strings.NewReader(log), 4, 2, 512,
+		func(recs []Record) { seen += len(recs) },
+		func(pos FilePos) error { bounds = append(bounds, boundary{pos.Offset, seen}); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if seen != len(want) {
@@ -68,9 +66,8 @@ func TestStreamParallelOffsetsResume(t *testing.T) {
 	}
 
 	for _, b := range bounds {
-		var got []Record
-		if _, err := StreamParallel(strings.NewReader(log[b.off:]), 2, 2,
-			func(rec Record) { got = append(got, rec) }); err != nil {
+		got, _, err := streamAll(strings.NewReader(log[b.off:]), 2, 2, 0, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		rest := want[b.seen:]
@@ -85,8 +82,8 @@ func TestStreamParallelOffsetsResume(t *testing.T) {
 	}
 }
 
-// TestStreamParallelOffsetsSingleWorker: a non-nil progress forces the
-// chunked pipeline even at workers == 1, and its output still matches the
+// TestStreamParallelOffsetsSingleWorker: the inline workers == 1 loop
+// reports progress per chunk too, and its output still matches the
 // sequential reader.
 func TestStreamParallelOffsetsSingleWorker(t *testing.T) {
 	log := synthLog(23, 800)
@@ -94,11 +91,9 @@ func TestStreamParallelOffsetsSingleWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Record
 	fired := 0
-	gotBad, err := StreamParallelOffsets(strings.NewReader(log), 1, 2,
-		func(rec Record) { got = append(got, rec) },
-		func(int64) { fired++ })
+	got, gotBad, err := streamAll(strings.NewReader(log), 1, 2, 4096,
+		func(FilePos) error { fired++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,9 @@ func (k SourceKind) String() string {
 
 // FilePos addresses a byte position within an ordered multi-file input set:
 // File indexes the (lexically ordered) path list, Offset is the byte offset
-// within that file — for gzip members it counts decoded bytes. StreamFiles
-// only reports positions on line boundaries, so a resume from any reported
-// FilePos replays exactly the records not yet emitted.
+// within that file — for gzip members it counts decoded bytes. The chunked
+// readers only report positions on line boundaries, so a resume from any
+// reported FilePos replays exactly the records not yet emitted.
 type FilePos struct {
 	File   int
 	Offset int64

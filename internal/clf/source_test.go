@@ -96,6 +96,14 @@ func TestResolveLogPaths(t *testing.T) {
 	}
 }
 
+// filesAll collects StreamFilesChunked's output, copying each chunk's
+// records out of the callback.
+func filesAll(paths []string, cfg StreamConfig, progress func(FilePos) error) ([]Record, int, error) {
+	var recs []Record
+	bad, err := StreamFilesChunked(paths, cfg, func(c []Record) { recs = append(recs, c...) }, progress)
+	return recs, bad, err
+}
+
 // TestStreamFilesMatchesConcat is the multi-file equivalence bar: a rotated
 // plain/gzip/plain set streams byte-identically to zcat-then-concatenate
 // through the sequential reader, across worker counts, chunk sizes, and
@@ -127,10 +135,9 @@ func TestStreamFilesMatchesConcat(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		for _, noMmap := range []bool{false, true} {
 			for _, chunk := range []int{256, 4096, readChunkSize} {
-				var got []Record
-				bad, err := StreamFiles(paths, StreamConfig{
+				got, bad, err := filesAll(paths, StreamConfig{
 					Workers: workers, ChunkBytes: chunk, NoMmap: noMmap,
-				}, func(rec Record) { got = append(got, rec) }, nil)
+				}, nil)
 				if err != nil {
 					t.Fatalf("workers=%d noMmap=%v chunk=%d: %v", workers, noMmap, chunk, err)
 				}
@@ -164,8 +171,8 @@ func TestStreamFilesResume(t *testing.T) {
 	}
 	var marks []mark
 	var count int
-	_, err = StreamFiles(paths, StreamConfig{Workers: 2, ChunkBytes: 512},
-		func(Record) { count++ },
+	_, err = StreamFilesChunked(paths, StreamConfig{Workers: 2, ChunkBytes: 512},
+		func(recs []Record) { count += len(recs) },
 		func(pos FilePos) error {
 			marks = append(marks, mark{pos, count})
 			return nil
@@ -182,10 +189,9 @@ func TestStreamFilesResume(t *testing.T) {
 			continue
 		}
 		for _, workers := range []int{1, 3} {
-			var got []Record
-			_, err := StreamFiles(paths, StreamConfig{
+			got, _, err := filesAll(paths, StreamConfig{
 				Workers: workers, ChunkBytes: 512, Start: m.pos,
-			}, func(rec Record) { got = append(got, rec) }, nil)
+			}, nil)
 			if err != nil {
 				t.Fatalf("resume at %+v: %v", m.pos, err)
 			}
@@ -211,8 +217,8 @@ func TestStreamFilesProgressAbort(t *testing.T) {
 	errStop := errors.New("stop here")
 	for _, workers := range []int{1, 4} {
 		var emitted, boundaries, atAbort int
-		_, err := StreamFiles(paths, StreamConfig{Workers: workers, ChunkBytes: 512},
-			func(Record) { emitted++ },
+		_, err := StreamFilesChunked(paths, StreamConfig{Workers: workers, ChunkBytes: 512},
+			func(recs []Record) { emitted += len(recs) },
 			func(FilePos) error {
 				boundaries++
 				if boundaries == 7 {
@@ -245,10 +251,10 @@ func TestStreamFilesOversizedLine(t *testing.T) {
 	}
 	for name, path := range cases {
 		for _, workers := range []int{1, 3} {
-			var recs int
-			bad, err := StreamFiles([]string{path}, StreamConfig{
+			got, bad, err := filesAll([]string{path}, StreamConfig{
 				Workers: workers, NoMmap: name == "reader",
-			}, func(Record) { recs++ }, nil)
+			}, nil)
+			recs := len(got)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}

@@ -1,6 +1,7 @@
 package clf
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"runtime"
@@ -8,7 +9,7 @@ import (
 	"sync/atomic"
 )
 
-// DefaultStreamDepth is the default depth of StreamParallel's in-order
+// DefaultStreamDepth is the default depth of the chunked readers' in-order
 // delivery channel: how many parsed chunks may be in flight between the
 // reader and the consumer before the reader blocks. Together with the worker
 // count it bounds the pipeline's heap: roughly
@@ -16,10 +17,19 @@ import (
 // them, independent of how long the log is.
 const DefaultStreamDepth = 8
 
+// readChunkSize is the target size of one line-aligned parse chunk. Chunks
+// are extended to the next newline, so lines never straddle workers.
+const readChunkSize = 1 << 20
+
+// maxLineBytes mirrors the Scanner's 1 MiB line cap: a "line" that exceeds
+// it is a defect (or an attack), and every reader fails the same way.
+const maxLineBytes = 1 << 20
+
 // Stream parses every record in r in input order, invoking emit for each,
 // and returns the malformed-line count. It is ReadAll without the slice:
-// memory is bounded by one line, so it suits logs that never end. Records
-// parsed before a read error are emitted before the error returns.
+// memory is bounded by one line, and each record is emitted as soon as its
+// line arrives, so it suits interactive pipes and logs that never end.
+// Records parsed before a read error are emitted before the error returns.
 func Stream(r io.Reader, emit func(Record)) (malformed int, err error) {
 	sc := NewScanner(r)
 	for sc.Scan() {
@@ -32,109 +42,40 @@ func Stream(r io.Reader, emit func(Record)) (malformed int, err error) {
 	return malformed, nil
 }
 
-// StreamParallel is Stream with the parse stage fanned out over a bounded
-// worker pool: the input is cut into line-aligned chunks of about 1 MiB,
-// chunks are parsed concurrently through the byte-level fast path (with a
-// per-chunk string-intern arena), and records are delivered to emit in input
-// order through a fixed-depth channel. For any workers/depth the emitted
-// sequence and malformed count are identical to Stream's (and ReadAll's).
+// StreamChunked parses r with the parse stage fanned out over a bounded
+// worker pool: the input is cut into line-aligned chunks of about chunkBytes
+// (<= 0 means ~1 MiB), chunks are parsed concurrently through the
+// byte-level fast path, and each chunk's records are delivered to emitChunk
+// as one slice, in input order, through a channel of fixed depth (<= 0 means
+// DefaultStreamDepth). For any workers/depth/chunk size the delivered
+// sequence and malformed count are identical to Stream's (and ReadAll's),
+// and nothing is materialized: heap stays bounded by (depth + workers)
+// chunks regardless of log length. workers <= 0 means GOMAXPROCS;
+// workers == 1 parses inline on the calling goroutine.
 //
-// Unlike ReadAllParallel nothing is materialized: heap stays bounded by
-// (depth + workers) chunks regardless of log length, which is what a
-// reactive processor tailing an unbounded log needs. emit runs on the
-// calling goroutine; workers <= 0 means GOMAXPROCS, workers == 1 degrades
-// to the sequential Stream, depth <= 0 means DefaultStreamDepth.
-func StreamParallel(r io.Reader, workers, depth int, emit func(Record)) (malformed int, err error) {
-	return streamParallel(r, workers, depth, readChunkSize, emit, nil)
-}
-
-// StreamParallelOffsets is StreamParallel with replay-offset reporting for
-// checkpointing consumers: after the last record of each line-aligned chunk
-// has been emitted, progress is called (on the same goroutine as emit) with
-// the byte offset just past that chunk, relative to the start of r. Every
-// reported offset sits on a line boundary, so a reader that seeks there and
-// resumes streaming sees exactly the records not yet emitted — the property
-// crash recovery replays depend on. With a non-nil progress the chunked
-// pipeline runs even for workers == 1 (the emitted sequence is identical;
-// only offsets are added).
-func StreamParallelOffsets(r io.Reader, workers, depth int, emit func(Record), progress func(offset int64)) (malformed int, err error) {
-	return streamParallel(r, workers, depth, readChunkSize, emit, progress)
-}
-
-// StreamParallelOffsetsChunked is StreamParallelOffsets with an explicit
-// chunk size. Progress boundaries fall at chunk ends, so callers tuning
-// checkpoint granularity (or tests forcing many boundaries on small inputs)
-// pick the chunk size; chunkBytes <= 0 means the default ~1 MiB.
-func StreamParallelOffsetsChunked(r io.Reader, workers, depth, chunkBytes int, emit func(Record), progress func(offset int64)) (malformed int, err error) {
-	if chunkBytes <= 0 {
-		chunkBytes = readChunkSize
-	}
-	return streamParallel(r, workers, depth, chunkBytes, emit, progress)
-}
-
-// streamParallel adapts the single-reader entry points onto the source
-// engine: the reader becomes one buffered Source and offsets lose their file
-// index. The sequential degrade (workers == 1 without offsets) is kept so
-// pipes retain per-line latency instead of waiting for a chunk to fill.
-func streamParallel(r io.Reader, workers, depth, chunkSize int, emit func(Record), progress func(int64)) (malformed int, err error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// The sequential degrade has no chunk boundaries to report, so offset
-	// consumers stay on the chunked pipeline even single-threaded.
-	if workers == 1 && progress == nil {
-		return Stream(r, emit)
-	}
-	return streamChunked(r, workers, depth, chunkSize, perRecord(emit), progress)
-}
-
-// StreamChunked is StreamParallelOffsetsChunked delivering each line-aligned
-// chunk's records as one slice instead of one callback per record — the feed
-// for batch consumers (core's PushBatch ingestion), which pay their
-// per-delivery costs once per chunk. The slice is only valid during the
-// call; emitChunk must not retain it (the sequential path reuses one scratch
-// slice for every chunk). Record order, malformed accounting, and progress
-// boundaries are identical to the per-record entry points. Note the latency
-// trade: unlike StreamParallel, workers == 1 does not degrade to the
-// line-at-a-time scanner, so a pipe's records are delivered only when a
-// chunk fills or the input ends — callers tailing an interactive pipe should
-// use the per-record API (or batch == 1 at the core layer).
-func StreamChunked(r io.Reader, workers, depth, chunkBytes int, emitChunk func([]Record), progress func(offset int64)) (malformed int, err error) {
+// The slice is only valid during the call; emitChunk must not retain it
+// (the sequential path reuses one scratch slice for every chunk). After each
+// chunk, progress (if non-nil) receives the line-aligned position just past
+// it — file 0, offset relative to the start of r — so a reader that seeks
+// there and resumes sees exactly the records not yet delivered; a non-nil
+// error from progress aborts the stream and is returned. Note the latency
+// trade: records are delivered only when a chunk fills or the input ends,
+// so callers tailing an interactive pipe should use Stream.
+func StreamChunked(r io.Reader, workers, depth, chunkBytes int, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if chunkBytes <= 0 {
 		chunkBytes = readChunkSize
-	}
-	return streamChunked(r, workers, depth, chunkBytes, emitChunk, progress)
-}
-
-// streamChunked wires a single borrowed reader into the source engine.
-func streamChunked(r io.Reader, workers, depth, chunkSize int, emitChunk func([]Record), progress func(int64)) (malformed int, err error) {
-	var fileProgress func(FilePos) error
-	if progress != nil {
-		fileProgress = func(pos FilePos) error {
-			progress(pos.Offset)
-			return nil
-		}
 	}
 	src := newReaderSource(r, SourceReader, 0) // no closers: r is borrowed
 	open := func(int) (Source, error) { return src, nil }
-	return streamSources(1, 0, open, workers, depth, chunkSize, emitChunk, fileProgress)
+	return streamSources(1, 0, open, workers, depth, chunkBytes, emitChunk, progress)
 }
 
-// perRecord adapts a per-record callback onto the chunk-delivery engine.
-func perRecord(emit func(Record)) func([]Record) {
-	return func(recs []Record) {
-		for i := range recs {
-			emit(recs[i])
-		}
-	}
-}
-
-// StreamConfig tunes StreamFiles. Zero values mean: GOMAXPROCS workers,
-// DefaultStreamDepth, ~1 MiB chunks, start at the first byte of the first
-// file, mmap allowed.
+// StreamConfig tunes StreamFilesChunked. Zero values mean: GOMAXPROCS
+// workers, DefaultStreamDepth, ~1 MiB chunks, start at the first byte of
+// the first file, mmap allowed.
 type StreamConfig struct {
 	// Workers is the parse fan-out; <= 0 means GOMAXPROCS. Workers == 1
 	// runs a direct sequential loop with no pipeline goroutines at all.
@@ -152,29 +93,23 @@ type StreamConfig struct {
 	NoMmap bool
 }
 
-// StreamFiles streams the records of an ordered multi-file log set — plain,
-// gzip, or mixed, as a rotated retention window produces — in input order
-// through the same bounded pipeline as StreamParallel. Each file is opened
-// as the best Source for its content: mmap windows for plain files (chunks
-// alias the mapping; no line is ever copied between read and parse), the
-// buffered reader for pipes or when mmap is unavailable, gzip decoding for
-// compressed members — with upcoming gzip members decoded ahead on their own
-// goroutines so decompression overlaps parsing when workers > 1.
+// StreamFilesChunked streams the records of an ordered multi-file log set —
+// plain, gzip, or mixed, as a rotated retention window produces — in input
+// order through the same bounded pipeline as StreamChunked, with the same
+// chunk-slice delivery contract. Each file is opened as the best Source for
+// its content: mmap windows for plain files (chunks alias the mapping; no
+// line is ever copied between read and parse), the buffered reader for
+// pipes or when mmap is unavailable, gzip decoding for compressed members —
+// with upcoming gzip members decoded ahead on their own goroutines so
+// decompression overlaps parsing when workers > 1.
 //
 // Files are independent record streams: a final line without a trailing
 // newline still parses, exactly as if the files were concatenated with
 // newline separators (OpenLogInput's batch view). After each chunk's records
-// are emitted, progress (if non-nil) receives the line-aligned FilePos just
-// past the chunk; a non-nil error from progress aborts the stream and is
-// returned, which checkpointing consumers use to stop cleanly mid-set.
+// are delivered, progress (if non-nil) receives the line-aligned FilePos
+// just past the chunk; a non-nil error from progress aborts the stream and
+// is returned, which checkpointing consumers use to stop cleanly mid-set.
 // Over-long lines (> 1 MiB) are skipped and counted as malformed.
-func StreamFiles(paths []string, cfg StreamConfig, emit func(Record), progress func(FilePos) error) (malformed int, err error) {
-	return StreamFilesChunked(paths, cfg, perRecord(emit), progress)
-}
-
-// StreamFilesChunked is StreamFiles with chunk-batch delivery: each
-// line-aligned chunk's records arrive as one slice, valid only during the
-// call (see StreamChunked for the contract and the pipe-latency trade).
 func StreamFilesChunked(paths []string, cfg StreamConfig, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
 	first := cfg.Start.File
 	if first < 0 {
@@ -261,7 +196,7 @@ type sourceJob struct {
 
 // streamSources runs the parse pipeline over n ordered sources, opened
 // lazily by open, starting at index first, delivering each chunk's records
-// as one slice (per-record callers wrap with perRecord).
+// as one slice.
 //
 // Shape: one producer goroutine pulls line-aligned chunks from each source
 // in turn and sends each job to both the workers (via work) and the consumer
@@ -277,7 +212,7 @@ func streamSources(n, first int, open func(int) (Source, error), workers, depth,
 	}()
 
 	if workers == 1 {
-		// Direct sequential loop: source → parseChunkInto → emitChunk, no
+		// Direct sequential loop: source → parseChunkIntern → emitChunk, no
 		// pipeline. This is the mmap fast path on one core — no goroutine
 		// handoffs, no chunk copies, one scratch record slice reused for
 		// every chunk, just window slicing and the byte-level parser.
@@ -437,4 +372,39 @@ func streamSources(n, first int, open func(int) (Source, error), workers, depth,
 		return malformed, closeErr
 	}
 	return malformed, nil
+}
+
+// parseChunkIntern parses every line of one chunk (the final line may lack
+// a trailing newline) into the caller-provided slice, skipping blank lines
+// and counting malformed ones, mirroring the Scanner's accounting —
+// including the over-long-line policy: a line past the 1 MiB cap (possible
+// when a Source serves windows larger than the cap, e.g. an mmap window
+// grown around a huge line) is counted and skipped, exactly as the
+// sequential lineScanner does. Strings are interned through the caller's
+// table, which the caller retires via full() — parsing never grows it past
+// the next chunk's distinct strings.
+func parseChunkIntern(data []byte, recs []Record, in *internTable) ([]Record, int) {
+	bad := 0
+	for len(data) > 0 {
+		var line []byte
+		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
+			line, data = data[:nl], data[nl+1:]
+		} else {
+			line, data = data, nil
+		}
+		if len(line) > maxLineBytes {
+			bad++
+			continue
+		}
+		if isBlankBytes(line) {
+			continue
+		}
+		rec, _, err := parseAnyRecordBytesIn(line, in)
+		if err != nil {
+			bad++
+			continue
+		}
+		recs = append(recs, rec)
+	}
+	return recs, bad
 }

@@ -2,6 +2,7 @@ package clf
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -29,9 +30,17 @@ func TestStreamMatchesReadAll(t *testing.T) {
 	}
 }
 
-// TestStreamParallelMatchesReadAll pins the bounded pipeline for every
-// workers/depth combination, including small chunk sizes that force lines
-// across chunk boundaries.
+// streamAll collects StreamChunked's output. Chunk slices are only valid
+// during the callback, so their records are copied out.
+func streamAll(r io.Reader, workers, depth, chunk int, progress func(FilePos) error) ([]Record, int, error) {
+	var recs []Record
+	bad, err := StreamChunked(r, workers, depth, chunk, func(c []Record) { recs = append(recs, c...) }, progress)
+	return recs, bad, err
+}
+
+// TestStreamParallelMatchesReadAll pins the bounded chunk-parallel pipeline
+// (StreamChunked) for every workers/depth combination, including small
+// chunk sizes that force lines across chunk boundaries.
 func TestStreamParallelMatchesReadAll(t *testing.T) {
 	for _, seed := range []int64{4, 11} {
 		log := synthLog(seed, 4000)
@@ -42,9 +51,7 @@ func TestStreamParallelMatchesReadAll(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8} {
 			for _, depth := range []int{1, 2, 8} {
 				for _, chunk := range []int{64, 4096, readChunkSize} {
-					var got []Record
-					gotBad, err := streamParallel(strings.NewReader(log), workers, depth, chunk,
-						func(rec Record) { got = append(got, rec) }, nil)
+					got, gotBad, err := streamAll(strings.NewReader(log), workers, depth, chunk, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -64,15 +71,12 @@ func TestStreamParallelMatchesReadAll(t *testing.T) {
 	}
 }
 
-// TestStreamParallelPartialOnReadError mirrors the ReadAllParallel contract:
-// records delivered before a read error are emitted, and the error is
-// returned after them.
+// TestStreamParallelPartialOnReadError: records the chunked pipeline parsed
+// before a read error are delivered, and the error is returned after them.
 func TestStreamParallelPartialOnReadError(t *testing.T) {
 	log := synthLog(9, 300)
 	want, _, seqErr := ReadAll(&chunkFailReader{data: []byte(log)})
-	var got []Record
-	_, parErr := StreamParallel(&chunkFailReader{data: []byte(log)}, 4, 2,
-		func(rec Record) { got = append(got, rec) })
+	got, _, parErr := streamAll(&chunkFailReader{data: []byte(log)}, 4, 2, 0, nil)
 	if seqErr == nil || parErr == nil {
 		t.Fatalf("want read errors, got %v / %v", seqErr, parErr)
 	}
@@ -86,9 +90,10 @@ func TestStreamParallelPartialOnReadError(t *testing.T) {
 // line cannot stop ingestion of everything around it.
 func TestStreamParallelOversizedLine(t *testing.T) {
 	huge := sampleLine + "\n" + strings.Repeat("a", maxLineBytes+2) + "\n" + sampleLine + "\n"
-	var seqRecs, parRecs int
+	var seqRecs int
 	seqBad, seqErr := Stream(strings.NewReader(huge), func(Record) { seqRecs++ })
-	parBad, parErr := StreamParallel(strings.NewReader(huge), 4, 2, func(Record) { parRecs++ })
+	par, parBad, parErr := streamAll(strings.NewReader(huge), 4, 2, 0, nil)
+	parRecs := len(par)
 	if seqErr != nil || parErr != nil {
 		t.Fatalf("oversized line must not abort: sequential err=%v, parallel err=%v", seqErr, parErr)
 	}
@@ -117,15 +122,13 @@ func FuzzStreamChunks(f *testing.F) {
 			return
 		}
 		// Chunks of 1..64 bytes force every boundary case; workers >= 2 so
-		// the parallel path (not the Stream fallback) is exercised.
+		// the worker pool (not the inline loop) is exercised.
 		chunk := int(chunkSize)%64 + 1
 		w := int(workers)%4 + 2
 		d := int(depth)%4 + 1
 
 		want, wantBad, wantErr := ReadAll(bytes.NewReader(input))
-		var got []Record
-		gotBad, gotErr := streamParallel(bytes.NewReader(input), w, d, chunk,
-			func(rec Record) { got = append(got, rec) }, nil)
+		got, gotBad, gotErr := streamAll(bytes.NewReader(input), w, d, chunk, nil)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("error mismatch: scanner %v, stream %v", wantErr, gotErr)
 		}

@@ -44,7 +44,7 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // batch — not once per record — and stage counters and metrics flush once
 // per batch. Safe for concurrent use; the input slice is not retained.
 func (st *ShardedTail) PushBatch(recs []clf.Record) []session.Session {
-	return st.pushBatchInto(nil, recs)
+	return st.PushBatchInto(nil, recs)
 }
 
 // PushBatchInto is PushBatch appending onto dst, for callers that hand the
@@ -52,13 +52,6 @@ func (st *ShardedTail) PushBatch(recs []clf.Record) []session.Session {
 // forbids retention): long-running drain loops stay allocation-free on the
 // output side. Pass dst[:0] to reuse capacity across batches.
 func (st *ShardedTail) PushBatchInto(dst []session.Session, recs []clf.Record) []session.Session {
-	return st.pushBatchInto(dst, recs)
-}
-
-// pushBatchInto is PushBatch appending onto dst: the streaming ingest loop
-// passes one recycled buffer so steady-state batches allocate no output
-// slice at all (the sink contract forbids retention).
-func (st *ShardedTail) pushBatchInto(dst []session.Session, recs []clf.Record) []session.Session {
 	if len(recs) == 0 {
 		return dst
 	}

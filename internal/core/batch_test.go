@@ -15,9 +15,10 @@ import (
 // golden corpus through PushBatch in every batch size — record-at-a-time,
 // tiny, chunk-unaligned, large, and the whole log at once — produces bytes
 // identical to the committed golden stream output, on the plain Tail and on
-// every shard count. The same sweep then runs through Ingest with the
-// Config.BatchRecords knob (0 = whole chunk, 1 = legacy per-record loop),
-// which is the path cmd/serve and cmd/sessionize actually configure.
+// every shard count. The same sweep then runs through Run with the
+// Config.BatchRecords knob (0 = whole chunk, 1 = per-record loop, the
+// line-at-a-time reader with one worker), which is the path cmd/serve and
+// cmd/sessionize actually configure.
 func TestGoldenCorpusBatchSizes(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	g := goldenGraph()
@@ -71,7 +72,7 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 	}
 
 	for _, shards := range []int{0, 2} {
-		for _, batch := range []int{0, 1, 2, 7, 64} {
+		for _, batch := range []int{0, 1} {
 			for _, workers := range []int{1, 4} {
 				cfg := Config{Graph: g, Workers: workers, BatchRecords: batch}
 				var got []session.Session
@@ -82,7 +83,7 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if malformed, err = tl.Ingest(bytes.NewReader(log), collect); err != nil {
+					if malformed, err = Run(tl, Input{Reader: bytes.NewReader(log)}, RunOptions{Sink: collect}); err != nil {
 						t.Fatal(err)
 					}
 					got = append(got, tl.Flush()...)
@@ -91,7 +92,7 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if malformed, err = st.Ingest(bytes.NewReader(log), collect); err != nil {
+					if malformed, err = Run(st, Input{Reader: bytes.NewReader(log)}, RunOptions{Sink: collect}); err != nil {
 						t.Fatal(err)
 					}
 					got = append(got, st.Flush()...)
@@ -101,7 +102,7 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 						shards, batch, workers, malformed, goldenMalformed)
 				}
 				if !bytes.Equal(renderSessions(t, got), want) {
-					t.Fatalf("shards=%d batch=%d workers=%d: Ingest sessions differ from golden",
+					t.Fatalf("shards=%d batch=%d workers=%d: Run sessions differ from golden",
 						shards, batch, workers)
 				}
 			}

@@ -97,10 +97,10 @@ func (m *memSampler) sample() {
 
 // TestStreamParallelBoundedMemory is the bounded-memory regression test: a
 // multi-hundred-MiB synthetic log (generated, never materialized) streamed
-// through ShardedTail.Ingest must keep the heap high-water under a fixed
-// budget that does not depend on the log's length — the property that
-// separates StreamParallel from ReadAllParallel, whose record slice alone
-// would dwarf the budget. Two lengths run under the same budget to pin the
+// into a ShardedTail through Run must keep the heap high-water under a
+// fixed budget that does not depend on the log's length — the property that
+// separates streaming from a batch read, whose record slice alone would
+// dwarf the budget. Two lengths run under the same budget to pin the
 // independence claim.
 func TestStreamParallelBoundedMemory(t *testing.T) {
 	if testing.Short() {
@@ -138,7 +138,7 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 		}
 		runtime.GC()
 		src := &memSampler{r: newSynthLogReader(total, uris)}
-		bad, err := st.Ingest(src, DiscardSessions)
+		bad, err := Run(st, Input{Reader: src}, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

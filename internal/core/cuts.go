@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
+	"strings"
 	"time"
-
-	"smartsra/internal/clf"
-	"smartsra/internal/session"
 )
 
 // ExpiryCut records one timed Expire a live sessionizer performed, placed
@@ -46,9 +44,11 @@ func AppendCut(w io.Writer, c ExpiryCut) error {
 
 // ReadCuts parses a cut journal. A final line without a terminating newline
 // is a torn append from a crash and is ignored — every complete line before
-// it is still valid. Any malformed complete line is an error: the journal is
-// machine-written, so a bad line means corruption, and replaying around it
-// would silently produce a different session stream.
+// it is still valid. Anything else that is not exactly the AppendCut format
+// — a malformed line, trailing text after the third field, a Seq that does
+// not strictly increase — is an error: the journal is machine-written, so a
+// bad line means corruption, and replaying around it would silently produce
+// a different session stream.
 func ReadCuts(r io.Reader) ([]ExpiryCut, error) {
 	var cuts []ExpiryCut
 	br := bufio.NewReader(r)
@@ -61,22 +61,40 @@ func ReadCuts(r io.Reader) ([]ExpiryCut, error) {
 		if err != nil {
 			return nil, err
 		}
-		var c ExpiryCut
-		var nanos int64
-		if _, err := fmt.Sscanf(line, "cut %d %d %d", &c.Seq, &c.Records, &nanos); err != nil {
+		c, err := parseCut(strings.TrimSuffix(line, "\n"))
+		if err == nil && len(cuts) > 0 && c.Seq <= cuts[len(cuts)-1].Seq {
+			err = fmt.Errorf("seq %d does not follow %d", c.Seq, cuts[len(cuts)-1].Seq)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("core: cut journal line %d: %q: %w", len(cuts)+1, line, err)
 		}
-		if c.Seq <= 0 || c.Records < 0 {
-			return nil, fmt.Errorf("core: cut journal line %d: non-positive seq or negative records: %q", len(cuts)+1, line)
-		}
-		c.At = time.Unix(0, nanos)
 		cuts = append(cuts, c)
 	}
 }
 
-// CutsAfter returns the cuts with Seq > seq, sorted by Seq — the suffix a
-// crash recovery must re-apply on top of a snapshot that recorded seq as its
-// last applied cut.
+// parseCut decodes one journal line without its newline.
+func parseCut(line string) (ExpiryCut, error) {
+	f := strings.Split(line, " ")
+	if len(f) != 4 || f[0] != "cut" {
+		return ExpiryCut{}, fmt.Errorf("want \"cut <seq> <records> <unixnano>\"")
+	}
+	var v [3]int64
+	for i := range v {
+		n, err := strconv.ParseInt(f[i+1], 10, 64)
+		if err != nil {
+			return ExpiryCut{}, err
+		}
+		v[i] = n
+	}
+	if v[0] <= 0 || v[1] < 0 {
+		return ExpiryCut{}, fmt.Errorf("non-positive seq or negative records")
+	}
+	return ExpiryCut{Seq: v[0], Records: v[1], At: time.Unix(0, v[2])}, nil
+}
+
+// CutsAfter returns the cuts with Seq > seq from a Seq-ordered journal (as
+// ReadCuts returns it) — the suffix a crash recovery must re-apply on top of
+// a snapshot that recorded seq as its last applied cut.
 func CutsAfter(cuts []ExpiryCut, seq int64) []ExpiryCut {
 	out := make([]ExpiryCut, 0, len(cuts))
 	for _, c := range cuts {
@@ -84,93 +102,5 @@ func CutsAfter(cuts []ExpiryCut, seq int64) []ExpiryCut {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// cutPusher is the processor surface cut replay needs: batched pushes plus
-// timed expiry. Tail and ShardedTail both satisfy it.
-type cutPusher interface {
-	pusher
-	Expire(now time.Time) []session.Session
-}
-
-// cutFeeder wraps the chunk-delivery function with cut application: records
-// are counted as they are pushed (starting from base, the restored
-// snapshot's record count), and whenever the next cut's boundary is reached
-// the batch is split there, Expire(cut.At) runs, and its sessions go to the
-// sink in place — exactly the interleaving the live run journaled. Batches
-// are delivered through pushBatchInto, whose output is pinned byte-identical
-// to a record-at-a-time Push loop, so splitting never changes emission.
-//
-// The returned flush applies any cuts at or past the final record count
-// (expiry that fired after the last record arrived); call it after the
-// stream ends, before Flush.
-func cutFeeder(p cutPusher, sink SessionSink, base int64, cuts []ExpiryCut) (feed func([]clf.Record), flush func()) {
-	count := base
-	ci := 0
-	var buf []session.Session
-	applyDue := func() {
-		for ci < len(cuts) && cuts[ci].Records <= count {
-			if out := p.Expire(cuts[ci].At); len(out) > 0 {
-				sink(out)
-			}
-			ci++
-		}
-	}
-	feed = func(recs []clf.Record) {
-		for len(recs) > 0 {
-			applyDue()
-			n := len(recs)
-			if ci < len(cuts) {
-				if room := cuts[ci].Records - count; int64(n) > room {
-					n = int(room)
-				}
-			}
-			buf = p.pushBatchInto(buf[:0], recs[:n])
-			if len(buf) > 0 {
-				sink(buf)
-			}
-			count += int64(n)
-			recs = recs[n:]
-		}
-	}
-	flush = func() { applyDue() }
-	return feed, flush
-}
-
-// IngestFilesCuts is IngestFiles with timed-expiry replay: base is the
-// record count already in the Tail (0 for a fresh one, the restored
-// snapshot's Stats.Records after recovery) and cuts are the journaled
-// expiries to apply at their recorded record boundaries, in order. With the
-// cuts a live run journaled, the emitted session stream is byte-identical to
-// that run's — periodic expiry stops being a source of divergence and
-// becomes part of the replayed input.
-func (t *Tail) IngestFilesCuts(paths []string, start clf.FilePos, base int64, cuts []ExpiryCut, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingestFilesCuts(paths, start, t.cfg, base, cuts, sink, t, progress)
-}
-
-// IngestFilesCuts is Tail.IngestFilesCuts on the sharded processor.
-func (st *ShardedTail) IngestFilesCuts(paths []string, start clf.FilePos, base int64, cuts []ExpiryCut, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingestFilesCuts(paths, start, st.cfg, base, cuts, sink, st, progress)
-}
-
-// ingestFilesCuts wires the clf multi-file chunked stream through a
-// cut-splitting feeder.
-func ingestFilesCuts(paths []string, start clf.FilePos, cfg Config, base int64, cuts []ExpiryCut, sink SessionSink, p cutPusher, progress func(clf.FilePos) error) (int, error) {
-	if sink == nil {
-		sink = DiscardSessions
-	}
-	feed, flush := cutFeeder(p, sink, base, cuts)
-	malformed, err := clf.StreamFilesChunked(paths, clf.StreamConfig{
-		Workers:    cfg.effectiveWorkers(),
-		Depth:      cfg.effectiveStreamDepth(),
-		ChunkBytes: cfg.StreamChunkBytes,
-		Start:      start,
-	}, feed, progress)
-	if err != nil {
-		return malformed, err
-	}
-	flush()
-	return malformed, nil
 }

@@ -50,19 +50,76 @@ func TestCutJournalRoundTrip(t *testing.T) {
 		t.Fatalf("torn journal: read %d cuts, want %d", len(got), len(cuts))
 	}
 
-	// A malformed complete line is corruption, not tolerated.
-	if _, err := ReadCuts(strings.NewReader("cut one 2 3\n")); err == nil {
-		t.Fatal("malformed journal line accepted")
-	}
-
 	if after := CutsAfter(got, 1); len(after) != 2 || after[0].Seq != 2 || after[1].Seq != 3 {
 		t.Fatalf("CutsAfter(1) = %+v, want seqs [2 3]", after)
 	}
 }
 
+// TestReadCutsRejectsCorruption: every complete line must be exactly the
+// AppendCut format with strictly increasing Seq. The glued cases are what a
+// torn append followed by a fresh one looks like — accepting them would
+// misplace a cut (or invent its time) and break live ≡ offline replay.
+func TestReadCutsRejectsCorruption(t *testing.T) {
+	for _, tc := range []struct{ name, journal string }{
+		{"non-numeric field", "cut one 2 3\n"},
+		{"missing field", "cut 1 2\n"},
+		{"wrong keyword", "cat 1 2 3\n"},
+		{"torn line glued to the next append", "cut 5 10 12cut 5 11 5678\n"},
+		{"short tear glued to the next append", "cut 5 1cut 5 11 5678\n"},
+		{"trailing text", "cut 1 2 3 extra\n"},
+		{"trailing space", "cut 1 2 3 \n"},
+		{"zero seq", "cut 0 2 3\n"},
+		{"negative records", "cut 1 -2 3\n"},
+		{"repeated seq", "cut 1 2 3\ncut 1 4 5\n"},
+		{"decreasing seq", "cut 2 2 3\ncut 1 4 5\n"},
+	} {
+		if cuts, err := ReadCuts(strings.NewReader(tc.journal)); err == nil {
+			t.Errorf("%s: %q accepted as %+v", tc.name, tc.journal, cuts)
+		}
+	}
+}
+
+// FuzzReadCuts: the decoder never panics, everything it accepts is a valid
+// journal (Seq positive and strictly increasing, Records >= 0), and re-encoding
+// the accepted cuts with AppendCut reads back identical.
+func FuzzReadCuts(f *testing.F) {
+	f.Add([]byte("cut 1 0 1000000005\ncut 2 42 2000000000\n"))
+	f.Add([]byte("cut 1 0 1\ncut 4 99 12345"))
+	f.Add([]byte("cut 5 10 12cut 5 11 5678\n"))
+	f.Add([]byte("cut 1 2 -3\n\n"))
+	f.Add([]byte("cut +1 02 3\n"))
+	f.Fuzz(func(t *testing.T, journal []byte) {
+		cuts, err := ReadCuts(bytes.NewReader(journal))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		for i, c := range cuts {
+			if c.Seq <= 0 || c.Records < 0 || (i > 0 && c.Seq <= cuts[i-1].Seq) {
+				t.Fatalf("accepted invalid cut %d: %+v", i, c)
+			}
+			if err := AppendCut(&buf, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		again, err := ReadCuts(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded journal rejected: %v", err)
+		}
+		if len(again) != len(cuts) {
+			t.Fatalf("round trip: %d cuts, want %d", len(again), len(cuts))
+		}
+		for i := range cuts {
+			if again[i].Seq != cuts[i].Seq || again[i].Records != cuts[i].Records || !again[i].At.Equal(cuts[i].At) {
+				t.Fatalf("round trip cut %d: %+v, want %+v", i, again[i], cuts[i])
+			}
+		}
+	})
+}
+
 // TestIngestFilesCutsEquivalence pins the cut-replay contract on the simgen
 // corpus: a record-at-a-time Push loop with Expire(At) applied at the
-// journaled record boundaries is the reference, and IngestFilesCuts must
+// journaled record boundaries is the reference, and Run with those cuts must
 // reproduce its emission stream byte for byte across the shard × worker ×
 // batch sweep — including a restart mid-stream (snapshot, restore, resume
 // with base = restored record count and the remaining cuts).
@@ -121,7 +178,7 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 
 	for _, shards := range []int{1, 4} {
 		for _, workers := range []int{1, 3} {
-			for _, batch := range []int{0, 7, 1024} {
+			for _, batch := range []int{0, 1} {
 				name := fmt.Sprintf("shards=%d workers=%d batch=%d", shards, workers, batch)
 				cfg := Config{Graph: g, Workers: workers, StreamDepth: 2, BatchRecords: batch}
 				st, err := NewSessionizer(cfg, 0, shards, false)
@@ -129,9 +186,10 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []session.Session
-				malformed, err := st.IngestFilesCuts([]string{logPath}, clf.FilePos{}, 0, cuts, func(s []session.Session) {
-					got = append(got, s...)
-				}, nil)
+				malformed, err := Run(st, Input{Paths: []string{logPath}}, RunOptions{
+					Sink: func(s []session.Session) { got = append(got, s...) },
+					Cuts: cuts,
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,9 +243,11 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 		t.Fatalf("restored record count %d, want %d", base, split)
 	}
 	pending := CutsAfter(cuts, appliedSeq)
-	if _, err := st.IngestFilesCuts([]string{logPath}, clf.FilePos{Offset: resumeOff}, base, pending, func(s []session.Session) {
-		got = append(got, s...)
-	}, nil); err != nil {
+	if _, err := Run(st, Input{Paths: []string{logPath}, Start: clf.FilePos{Offset: resumeOff}}, RunOptions{
+		Sink: func(s []session.Session) { got = append(got, s...) },
+		Base: base,
+		Cuts: pending,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	got = append(got, st.Flush()...)

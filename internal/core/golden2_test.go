@@ -146,9 +146,9 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []session.Session
-				malformed, err := st.Ingest(bytes.NewReader(log), func(s []session.Session) {
+				malformed, err := Run(st, Input{Reader: bytes.NewReader(log)}, RunOptions{Sink: func(s []session.Session) {
 					got = append(got, s...)
-				})
+				}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -170,9 +170,10 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 	}
 	var got []session.Session
 	var lastOff int64
-	if _, err := st.IngestOffsets(bytes.NewReader(log), func(s []session.Session) {
-		got = append(got, s...)
-	}, func(off int64) { lastOff = off }); err != nil {
+	if _, err := Run(st, Input{Reader: bytes.NewReader(log)}, RunOptions{
+		Sink:     func(s []session.Session) { got = append(got, s...) },
+		Progress: func(pos clf.FilePos) error { lastOff = pos.Offset; return nil },
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if lastOff != int64(len(log)) {
@@ -180,6 +181,6 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 	}
 	got = append(got, st.Flush()...)
 	if !bytes.Equal(renderSessions(t, got), wantStream) {
-		t.Fatal("IngestOffsets sessions differ from golden2")
+		t.Fatal("progress-reporting Run sessions differ from golden2")
 	}
 }

@@ -62,8 +62,8 @@ func splitGoldenLines(t *testing.T, log []byte, n int) [][]byte {
 // bytes as the in-memory readers: the corpus served from a plain file (mmap
 // and buffered-reader sources), a gzip copy, and a rotated three-file set
 // with a gzip member and a missing final newline, through both the raw
-// clf.StreamFiles reader and the Tail/ShardedTail IngestFiles entry points,
-// across worker/shard widths.
+// clf.StreamFilesChunked reader and Run on Tail/ShardedTail, across
+// worker/shard widths.
 func TestGoldenCorpusSources(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	g := goldenGraph()
@@ -97,10 +97,14 @@ func TestGoldenCorpusSources(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []session.Session
-				bad, err := clf.StreamFiles(paths, clf.StreamConfig{Workers: workers, NoMmap: noMmap},
-					func(rec clf.Record) { got = append(got, tl.Push(rec)...) }, nil)
+				bad, err := clf.StreamFilesChunked(paths, clf.StreamConfig{Workers: workers, NoMmap: noMmap},
+					func(recs []clf.Record) {
+						for _, rec := range recs {
+							got = append(got, tl.Push(rec)...)
+						}
+					}, nil)
 				if err != nil {
-					t.Fatalf("%s: StreamFiles: %v", label, err)
+					t.Fatalf("%s: StreamFilesChunked: %v", label, err)
 				}
 				got = append(got, tl.Flush()...)
 				if bad != goldenMalformed {
@@ -110,7 +114,7 @@ func TestGoldenCorpusSources(t *testing.T) {
 					t.Fatalf("%s: sessions differ from golden", label)
 				}
 
-				// IngestFiles entry points (the sessionize/serve deployment).
+				// Run over the path set (the sessionize/serve deployment).
 				cfg := Config{Graph: g, Workers: workers}
 				tl2, err := NewTail(cfg, 0)
 				if err != nil {
@@ -118,13 +122,13 @@ func TestGoldenCorpusSources(t *testing.T) {
 				}
 				got = nil
 				collect := func(s []session.Session) { got = append(got, s...) }
-				bad, err = tl2.IngestFiles(paths, clf.FilePos{}, collect, nil)
+				bad, err = Run(tl2, Input{Paths: paths}, RunOptions{Sink: collect})
 				if err != nil {
-					t.Fatalf("%s: Tail.IngestFiles: %v", label, err)
+					t.Fatalf("%s: Run(Tail): %v", label, err)
 				}
 				got = append(got, tl2.Flush()...)
 				if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
-					t.Fatalf("%s: Tail.IngestFiles differs from golden (malformed=%d)", label, bad)
+					t.Fatalf("%s: Run(Tail) differs from golden (malformed=%d)", label, bad)
 				}
 
 				for _, shards := range []int{1, 3} {
@@ -133,13 +137,13 @@ func TestGoldenCorpusSources(t *testing.T) {
 						t.Fatal(err)
 					}
 					got = nil
-					bad, err := st.IngestFiles(paths, clf.FilePos{}, collect, nil)
+					bad, err := Run(st, Input{Paths: paths}, RunOptions{Sink: collect})
 					if err != nil {
-						t.Fatalf("%s s=%d: ShardedTail.IngestFiles: %v", label, shards, err)
+						t.Fatalf("%s s=%d: Run(ShardedTail): %v", label, shards, err)
 					}
 					got = append(got, st.Flush()...)
 					if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
-						t.Fatalf("%s s=%d: ShardedTail.IngestFiles differs from golden (malformed=%d)",
+						t.Fatalf("%s s=%d: Run(ShardedTail) differs from golden (malformed=%d)",
 							label, shards, bad)
 					}
 				}

@@ -120,11 +120,11 @@ func readGoldenOrGot(t *testing.T, name string, got []byte) []byte {
 }
 
 // TestGoldenCorpusStream pins the serve-style streaming path: every record
-// source (ReadAll, ReadAllParallel, Stream, StreamParallel, Tail.Ingest,
-// ShardedTail.Ingest) feeding every processor (Tail, ShardedTail) across the
-// {workers, shards, depth} sweep emits byte-identical sessions — the
-// finalized-during-feed prefix and the Flush tail concatenated — and the
-// same malformed count.
+// source (ReadAll, the parallel batch read ProcessLog collects from
+// StreamChunked, Stream, StreamChunked, and Run) feeding every processor
+// (Tail, ShardedTail) across the {workers, shards, depth} sweep emits
+// byte-identical sessions — the finalized-during-feed prefix and the Flush
+// tail concatenated — and the same malformed count.
 func TestGoldenCorpusStream(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	g := goldenGraph()
@@ -186,7 +186,10 @@ func TestGoldenCorpusStream(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, depth := range []int{1, 2, 8} {
 			workers, depth := workers, depth
-			parRecords, parBad, err := clf.ReadAllParallel(bytes.NewReader(log), workers)
+			var parRecords []clf.Record
+			parBad, err := clf.StreamChunked(bytes.NewReader(log), workers, 4*workers, 0, func(recs []clf.Record) {
+				parRecords = append(parRecords, recs...)
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,9 +206,11 @@ func TestGoldenCorpusStream(t *testing.T) {
 					return bad
 				}},
 				{fmt.Sprintf("streamparallel/w%d/d%d", workers, depth), func(t *testing.T, push func(clf.Record) []session.Session, collect *[]session.Session) int {
-					bad, err := clf.StreamParallel(bytes.NewReader(log), workers, depth, func(rec clf.Record) {
-						*collect = append(*collect, push(rec)...)
-					})
+					bad, err := clf.StreamChunked(bytes.NewReader(log), workers, depth, 0, func(recs []clf.Record) {
+						for _, rec := range recs {
+							*collect = append(*collect, push(rec)...)
+						}
+					}, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -229,8 +234,8 @@ func TestGoldenCorpusStream(t *testing.T) {
 				}
 			}
 
-			// The Ingest entry points (the serve -backfill / sessionize
-			// -stream path) must land on the same golden bytes.
+			// Run (the serve -backfill / sessionize -stream path) must land
+			// on the same golden bytes.
 			cfg := Config{Graph: g, Workers: workers, StreamDepth: depth}
 			tl, err := NewTail(cfg, 0)
 			if err != nil {
@@ -238,13 +243,13 @@ func TestGoldenCorpusStream(t *testing.T) {
 			}
 			var got []session.Session
 			collect := func(s []session.Session) { got = append(got, s...) }
-			bad, err := tl.Ingest(bytes.NewReader(log), collect)
+			bad, err := Run(tl, Input{Reader: bytes.NewReader(log)}, RunOptions{Sink: collect})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got = append(got, tl.Flush()...)
 			if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
-				t.Fatalf("tail.Ingest (w=%d d=%d): output differs from golden (malformed=%d)", workers, depth, bad)
+				t.Fatalf("Run(tail) (w=%d d=%d): output differs from golden (malformed=%d)", workers, depth, bad)
 			}
 			for _, shards := range []int{1, 3, 8} {
 				st, err := NewShardedTail(cfg, 0, shards)
@@ -252,13 +257,13 @@ func TestGoldenCorpusStream(t *testing.T) {
 					t.Fatal(err)
 				}
 				got = nil
-				bad, err := st.Ingest(bytes.NewReader(log), collect)
+				bad, err := Run(st, Input{Reader: bytes.NewReader(log)}, RunOptions{Sink: collect})
 				if err != nil {
 					t.Fatal(err)
 				}
 				got = append(got, st.Flush()...)
 				if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
-					t.Fatalf("sharded.Ingest (w=%d d=%d s=%d): output differs from golden (malformed=%d)",
+					t.Fatalf("Run(sharded) (w=%d d=%d s=%d): output differs from golden (malformed=%d)",
 						workers, depth, shards, bad)
 				}
 			}

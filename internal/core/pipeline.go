@@ -64,27 +64,25 @@ type Config struct {
 	// GOMAXPROCS.
 	Workers int
 	// StreamDepth is the depth of the in-order delivery channel used by the
-	// bounded-memory streaming ingestion path (Tail.Ingest,
-	// ShardedTail.Ingest): how many parsed ~1 MiB chunks may be in flight
-	// between the log reader and the session processor. Together with
-	// Workers it caps the streaming path's heap at roughly
-	// (StreamDepth + Workers) chunks, independent of log length. <= 0 means
-	// clf.DefaultStreamDepth. The value never changes the output, only the
-	// memory/throughput trade.
+	// bounded-memory streaming ingestion path (Run): how many parsed ~1 MiB
+	// chunks may be in flight between the log reader and the session
+	// processor. Together with Workers it caps the streaming path's heap at
+	// roughly (StreamDepth + Workers) chunks, independent of log length.
+	// <= 0 means clf.DefaultStreamDepth. The value never changes the output,
+	// only the memory/throughput trade.
 	StreamDepth int
 	// StreamChunkBytes is the streaming reader's chunk size, which is also
-	// the granularity of IngestOffsets progress callbacks — and therefore of
+	// the granularity of Run's progress callbacks — and therefore of
 	// checkpoints. <= 0 means the clf default (~1 MiB). Like StreamDepth it
 	// never changes the output.
 	StreamChunkBytes int
 	// BatchRecords selects how ingestion hands parsed records to the
 	// sessionizer: 1 feeds Push record-at-a-time (the low-latency choice for
 	// interactive pipes, where the batch path would wait for a full chunk
-	// before emitting anything); <= 0 hands each parsed chunk to PushBatch
-	// whole (the throughput choice — one lock acquisition and one metrics
-	// flush per chunk); > 1 splits chunks into sub-batches of at most that
-	// many records, trading a little locking for finer sink latency. The
-	// knob never changes the emitted sessions, only when they surface.
+	// before emitting anything); any other value hands each parsed chunk to
+	// PushBatch whole (the throughput choice — one lock acquisition and one
+	// metrics flush per chunk). The knob never changes the emitted
+	// sessions, only when they surface.
 	BatchRecords int
 }
 
@@ -172,7 +170,18 @@ func (s Stats) String() string {
 // sessions. It fails only on read errors; data-quality issues are counted in
 // Stats.
 func (p *Pipeline) ProcessLog(r io.Reader) (*Result, error) {
-	records, malformed, err := clf.ReadAllParallel(r, p.cfg.effectiveWorkers())
+	var records []clf.Record
+	var malformed int
+	var err error
+	if workers := p.cfg.effectiveWorkers(); workers == 1 {
+		records, malformed, err = clf.ReadAll(r)
+	} else {
+		// A deep order channel keeps the batch path free-running: the
+		// consumer only appends, so backpressure would just idle workers.
+		malformed, err = clf.StreamChunked(r, workers, 4*workers, 0, func(recs []clf.Record) {
+			records = append(records, recs...)
+		}, nil)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

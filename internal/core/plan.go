@@ -1,7 +1,6 @@
 package core
 
 import (
-	"io"
 	"time"
 
 	"smartsra/internal/clf"
@@ -22,19 +21,15 @@ func (c Config) WithPlan(p plan.Plan) Config {
 }
 
 // Sessionizer is the streaming-processor surface Tail and ShardedTail
-// share: push records (or ingest a whole stream), drain finalized sessions,
-// and snapshot/restore for crash recovery. It lets callers pick the
-// processor an execution plan calls for without committing to a concrete
-// type.
+// share: push records, drain finalized sessions, and snapshot/restore for
+// crash recovery; Run streams a whole input into one. It lets callers pick
+// the processor an execution plan calls for without committing to a
+// concrete type.
 type Sessionizer interface {
 	Push(clf.Record) []session.Session
 	PushBatch([]clf.Record) []session.Session
 	Flush() []session.Session
 	Expire(time.Time) []session.Session
-	Ingest(io.Reader, SessionSink) (int, error)
-	IngestOffsets(io.Reader, SessionSink, func(int64)) (int, error)
-	IngestFiles([]string, clf.FilePos, SessionSink, func(clf.FilePos) error) (int, error)
-	IngestFilesCuts([]string, clf.FilePos, int64, []ExpiryCut, SessionSink, func(clf.FilePos) error) (int, error)
 	Snapshot() TailSnapshot
 	Restore(TailSnapshot) error
 	Stats() Stats

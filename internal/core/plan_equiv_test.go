@@ -62,9 +62,9 @@ func TestPlanGoldenEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []session.Session
-				bad, err := st.Ingest(bytes.NewReader(log), func(s []session.Session) {
+				bad, err := Run(st, Input{Reader: bytes.NewReader(log)}, RunOptions{Sink: func(s []session.Session) {
 					got = append(got, s...)
-				})
+				}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,7 +108,7 @@ func TestNewSessionizerPicksProcessor(t *testing.T) {
 }
 
 // TestSessionizerConcurrentExpire: the ShardedTail a concurrent plan
-// produces tolerates Expire racing Ingest — the sessionize -stream periodic
+// produces tolerates Expire racing Run — the sessionize -stream periodic
 // expiry path — without corrupting output counts (data races are caught by
 // the suite's -race run).
 func TestSessionizerConcurrentExpire(t *testing.T) {
@@ -132,9 +132,9 @@ func TestSessionizerConcurrentExpire(t *testing.T) {
 		}
 	}()
 	var got []session.Session
-	if _, err := st.Ingest(bytes.NewReader(log), func(s []session.Session) {
+	if _, err := Run(st, Input{Reader: bytes.NewReader(log)}, RunOptions{Sink: func(s []session.Session) {
 		got = append(got, s...)
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)

@@ -203,7 +203,7 @@ func TestRestoreRejectsInvalidSnapshots(t *testing.T) {
 }
 
 // TestIngestOffsetsConsistentSnapshots: at every progress boundary during
-// Ingest, (snapshot, offset) must be a consistent resume point — restoring
+// Run, (snapshot, offset) must be a consistent resume point — restoring
 // the snapshot into a fresh processor and replaying the log suffix from the
 // offset reproduces the uninterrupted session stream.
 func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
@@ -223,16 +223,18 @@ func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
 	}
 	var emitted []session.Session
 	var points []point
-	if _, err := src.IngestOffsets(bytes.NewReader(log),
-		func(s []session.Session) { emitted = append(emitted, s...) },
-		func(off int64) {
-			points = append(points, point{off, src.Snapshot(), renderSessions(t, emitted)})
-		}); err != nil {
+	if _, err := Run(src, Input{Reader: bytes.NewReader(log)}, RunOptions{
+		Sink: func(s []session.Session) { emitted = append(emitted, s...) },
+		Progress: func(pos clf.FilePos) error {
+			points = append(points, point{pos.Offset, src.Snapshot(), renderSessions(t, emitted)})
+			return nil
+		},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	emitted = append(emitted, src.Flush()...)
 	if !bytes.Equal(renderSessions(t, emitted), want) {
-		t.Fatal("uninterrupted IngestOffsets diverges from golden")
+		t.Fatal("uninterrupted progress-reporting Run diverges from golden")
 	}
 
 	for i, p := range points {
@@ -244,8 +246,8 @@ func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 		var tail []session.Session
-		if _, err := dst.Ingest(bytes.NewReader(log[p.off:]),
-			func(s []session.Session) { tail = append(tail, s...) }); err != nil {
+		if _, err := Run(dst, Input{Reader: bytes.NewReader(log[p.off:])},
+			RunOptions{Sink: func(s []session.Session) { tail = append(tail, s...) }}); err != nil {
 			t.Fatal(err)
 		}
 		tail = append(tail, dst.Flush()...)

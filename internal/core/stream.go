@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"io"
 
 	"smartsra/internal/clf"
@@ -11,139 +12,147 @@ import (
 // ingestion. Implementations must not retain the slice past the call.
 type SessionSink func([]session.Session)
 
-// DiscardSessions is the sink for callers that only want the side effects
-// (metrics, stats) of streaming ingestion.
-func DiscardSessions([]session.Session) {}
+// Input is what Run reads: an ordered path set — plain, gzip, or mixed, as
+// log rotation produces — resumed at Start, or, when Reader is set, one
+// borrowed stream (stdin, a pipe, an in-memory log) read to its end.
+type Input struct {
+	Paths  []string
+	Start  clf.FilePos
+	Reader io.Reader
+}
 
-// Ingest streams a CLF log into the Tail through the bounded-memory
-// parallel parser: the input is parsed in line-aligned chunks on
+// RunOptions tunes Run. The zero value streams the input and discards the
+// sessions it finalizes.
+type RunOptions struct {
+	// Sink receives sessions as records finalize them, on the calling
+	// goroutine; nil discards them, for callers that only want the side
+	// effects (state, metrics, stats) of ingestion.
+	Sink SessionSink
+	// Progress, when set, runs after every line-aligned chunk with the
+	// position whose records — and the sessions they finalized — have been
+	// fully pushed and sunk (for Reader input: file 0, offset relative to
+	// the reader's start). At that moment Snapshot() is exactly consistent
+	// with the position, which is the invariant crash recovery needs. A
+	// non-nil error aborts the stream and is returned — the checkpointing
+	// caller's clean-stop lever.
+	Progress func(clf.FilePos) error
+	// Base is the record count already in the sessionizer: 0 for a fresh
+	// one, the restored snapshot's Stats.Records after recovery. Cut
+	// boundaries count from it.
+	Base int64
+	// Cuts are journaled timed expiries to replay, in Seq order: Expire(At)
+	// runs after record Records and before the next, its sessions going to
+	// the sink in place, and cuts at or past the final record run once the
+	// input ends. With the cuts a live run journaled, the emitted session
+	// stream is byte-identical to that run's.
+	Cuts []ExpiryCut
+}
+
+// Run streams in into s through the bounded-memory clf pipeline and returns
+// the malformed-line count. Lines are parsed in line-aligned chunks on
 // Config.Workers goroutines and delivered in input order through a channel
-// of depth Config.StreamDepth straight into Push, so heap stays bounded by
-// (workers + depth) chunks no matter how long the log is — nothing is
-// materialized. sink receives sessions as records finalize them (nil means
-// DiscardSessions); it runs on the calling goroutine. The Tail is NOT
+// of depth Config.StreamDepth, so heap stays bounded by (workers + depth)
+// chunks however long the input is; plain files are served as zero-copy
+// mmap windows and gzip members decode ahead of the parse pool. Each chunk
+// goes to PushBatch whole, or — with Config.BatchRecords == 1 — to Push
+// record by record; a Reader with BatchRecords == 1, one worker and no
+// Progress is read line by line (clf.Stream) instead, so records from an
+// interactive pipe surface as their lines arrive. The sessionizer is NOT
 // flushed: call Flush (or keep pushing) afterwards, matching live-tail use.
 //
 // The emitted sessions are byte-identical to pushing clf.ReadAll's records
-// one by one, for any workers/depth — the golden-corpus and fuzz harnesses
-// pin this.
-func (t *Tail) Ingest(r io.Reader, sink SessionSink) (malformed int, err error) {
-	return ingest(r, t.cfg, sink, t, nil)
-}
-
-// IngestOffsets is Ingest with replay-offset reporting for checkpointing
-// callers: progress runs on the delivery goroutine after every line-aligned
-// chunk, with the byte offset (relative to r's start) whose records — and
-// the sessions they finalized — have been fully pushed and sunk. At that
-// moment Snapshot() is exactly consistent with the offset, which is the
-// invariant crash recovery needs.
-func (t *Tail) IngestOffsets(r io.Reader, sink SessionSink, progress func(offset int64)) (malformed int, err error) {
-	return ingest(r, t.cfg, sink, t, progress)
-}
-
-// IngestFiles streams an ordered multi-file log set — plain, gzip, or mixed,
-// as log rotation produces — into the Tail through the zero-copy source
-// layer: plain files are served as mmap windows (no line is copied between
-// read and parse), gzip members decode ahead of the parse pool, and the
-// emitted sessions are byte-identical to ingesting the decompressed
-// concatenation through Ingest. start resumes mid-set; progress (optional)
-// receives the line-aligned clf.FilePos each chunk completes at, and may
-// return a non-nil error to abort the stream — the checkpointing caller's
-// clean-stop lever.
-func (t *Tail) IngestFiles(paths []string, start clf.FilePos, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingestFiles(paths, start, t.cfg, sink, t, progress)
-}
-
-// Ingest is Tail.Ingest on the sharded processor. Parsing fans out over
-// Config.Workers; Push itself is invoked from the single delivery
-// goroutine, so per-user arrival order — the determinism contract — is
-// preserved while the parse stage runs at full parallelism. Concurrent
-// Push/Expire from other goroutines remains safe during ingestion.
-func (st *ShardedTail) Ingest(r io.Reader, sink SessionSink) (malformed int, err error) {
-	return ingest(r, st.cfg, sink, st, nil)
-}
-
-// IngestOffsets is Tail.IngestOffsets on the sharded processor.
-func (st *ShardedTail) IngestOffsets(r io.Reader, sink SessionSink, progress func(offset int64)) (malformed int, err error) {
-	return ingest(r, st.cfg, sink, st, progress)
-}
-
-// IngestFiles is Tail.IngestFiles on the sharded processor.
-func (st *ShardedTail) IngestFiles(paths []string, start clf.FilePos, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingestFiles(paths, start, st.cfg, sink, st, progress)
-}
-
-// pusher is the slice of the Sessionizer surface ingestion needs.
-// pushBatchInto appends onto a caller-recycled buffer; see chunkFeeder.
-type pusher interface {
-	Push(clf.Record) []session.Session
-	pushBatchInto(dst []session.Session, recs []clf.Record) []session.Session
-}
-
-// chunkFeeder builds the per-chunk delivery function ingestion hands to the
-// clf chunk pipeline, honoring Config.BatchRecords: 1 loops Push per record
-// (checkpoint consistency and sink latency identical to the legacy path),
-// <= 0 hands the whole chunk to PushBatch, > 1 slices the chunk into
-// sub-batches of at most that many records. Output is identical for every
-// setting — PushBatch is pinned byte-identical to a Push loop.
-func chunkFeeder(cfg Config, p pusher, sink SessionSink) func([]clf.Record) {
-	batch := cfg.BatchRecords
-	if batch == 1 {
-		return func(recs []clf.Record) {
-			for i := range recs {
-				if out := p.Push(recs[i]); len(out) > 0 {
-					sink(out)
-				}
-			}
-		}
+// one by one, for any workers, depth, chunk size or batch setting — the
+// golden-corpus and property harnesses pin this.
+func Run(s Sessionizer, in Input, opt RunOptions) (malformed int, err error) {
+	f := &feeder{s: s, sink: opt.Sink, count: opt.Base, cuts: opt.Cuts}
+	var cfg Config
+	switch t := s.(type) {
+	case *Tail:
+		cfg, f.pushInto = t.cfg, t.pushBatchInto
+	case *ShardedTail:
+		cfg, f.pushInto = t.cfg, t.PushBatchInto
+	default:
+		return 0, fmt.Errorf("core: Run needs a *Tail or *ShardedTail, got %T", s)
 	}
-	// One output buffer for the whole ingestion: the sink must not retain
+	if f.sink == nil {
+		f.sink = func([]session.Session) {}
+	}
+	f.single = cfg.BatchRecords == 1
+	workers, depth := cfg.effectiveWorkers(), cfg.effectiveStreamDepth()
+	switch {
+	case in.Reader == nil:
+		malformed, err = clf.StreamFilesChunked(in.Paths, clf.StreamConfig{
+			Workers:    workers,
+			Depth:      depth,
+			ChunkBytes: cfg.StreamChunkBytes,
+			Start:      in.Start,
+		}, f.feed, opt.Progress)
+	case f.single && workers == 1 && opt.Progress == nil:
+		var one [1]clf.Record
+		malformed, err = clf.Stream(in.Reader, func(rec clf.Record) {
+			one[0] = rec
+			f.feed(one[:])
+		})
+	default:
+		malformed, err = clf.StreamChunked(in.Reader, workers, depth, cfg.StreamChunkBytes, f.feed, opt.Progress)
+	}
+	if err != nil {
+		return malformed, err
+	}
+	f.expireDue()
+	return malformed, nil
+}
+
+// feeder is Run's per-chunk delivery: it counts records as they are pushed
+// and, whenever the next cut's boundary falls inside a chunk, splits the
+// chunk there and runs the cut's Expire in place — exactly the interleaving
+// the live run journaled. Splitting never changes emission, because
+// PushBatch is pinned byte-identical to a record-at-a-time Push loop.
+type feeder struct {
+	s        Sessionizer
+	pushInto func([]session.Session, []clf.Record) []session.Session
+	sink     SessionSink
+	single   bool
+	count    int64
+	cuts     []ExpiryCut
+	// buf is one output buffer for the whole run: the sink must not retain
 	// the slice past the call, so each batch reuses the previous one's
 	// storage and the steady state allocates nothing per batch.
-	var buf []session.Session
-	return func(recs []clf.Record) {
-		for len(recs) > 0 {
-			n := len(recs)
-			if batch > 1 && n > batch {
-				n = batch
+	buf []session.Session
+}
+
+func (f *feeder) feed(recs []clf.Record) {
+	for len(recs) > 0 {
+		f.expireDue()
+		n := len(recs)
+		if len(f.cuts) > 0 {
+			if room := f.cuts[0].Records - f.count; int64(n) > room {
+				n = int(room)
 			}
-			buf = p.pushBatchInto(buf[:0], recs[:n])
-			if len(buf) > 0 {
-				sink(buf)
-			}
-			recs = recs[n:]
 		}
-	}
-}
-
-// ingest wires the clf chunked stream into a sessionizer.
-func ingest(r io.Reader, cfg Config, sink SessionSink, p pusher, progress func(int64)) (int, error) {
-	if sink == nil {
-		sink = DiscardSessions
-	}
-	feed := chunkFeeder(cfg, p, sink)
-	if cfg.BatchRecords == 1 {
-		// Per-record delivery keeps the interactive-pipe scanner degrade
-		// alive inside clf (workers == 1, no progress): records surface as
-		// lines arrive instead of when a chunk fills.
-		return clf.StreamParallelOffsetsChunked(r, cfg.effectiveWorkers(), cfg.effectiveStreamDepth(), cfg.StreamChunkBytes, func(rec clf.Record) {
-			if out := p.Push(rec); len(out) > 0 {
-				sink(out)
+		if f.single {
+			for i := range recs[:n] {
+				f.emit(f.s.Push(recs[i]))
 			}
-		}, progress)
+		} else {
+			f.buf = f.pushInto(f.buf[:0], recs[:n])
+			f.emit(f.buf)
+		}
+		f.count += int64(n)
+		recs = recs[n:]
 	}
-	return clf.StreamChunked(r, cfg.effectiveWorkers(), cfg.effectiveStreamDepth(), cfg.StreamChunkBytes, feed, progress)
 }
 
-// ingestFiles wires the clf multi-file chunked stream into a sessionizer.
-func ingestFiles(paths []string, start clf.FilePos, cfg Config, sink SessionSink, p pusher, progress func(clf.FilePos) error) (int, error) {
-	if sink == nil {
-		sink = DiscardSessions
+// expireDue applies every cut whose boundary the record count has reached.
+func (f *feeder) expireDue() {
+	for len(f.cuts) > 0 && f.cuts[0].Records <= f.count {
+		f.emit(f.s.Expire(f.cuts[0].At))
+		f.cuts = f.cuts[1:]
 	}
-	return clf.StreamFilesChunked(paths, clf.StreamConfig{
-		Workers:    cfg.effectiveWorkers(),
-		Depth:      cfg.effectiveStreamDepth(),
-		ChunkBytes: cfg.StreamChunkBytes,
-		Start:      start,
-	}, chunkFeeder(cfg, p, sink), progress)
+}
+
+func (f *feeder) emit(out []session.Session) {
+	if len(out) > 0 {
+		f.sink(out)
+	}
 }

@@ -1,8 +1,11 @@
 // Package plan is the adaptive execution planner: it sizes the ingestion
 // knobs — parse workers, sessionizer shards, stream depth, chunk bytes —
 // from the machine (GOMAXPROCS), the input (size and kind), and an optional
-// observed-throughput calibration probe, and falls back to the sequential
-// clf.Stream / single-Tail path whenever parallelism cannot win.
+// observed-throughput calibration probe, and falls back to one parse worker
+// and a single Tail whenever parallelism cannot win. core.Run executes the
+// plan: one parse worker reads files through clf.StreamFilesChunked's
+// inline chunk loop, and pipes (Batch 1) through the line-at-a-time
+// clf.Stream.
 //
 // The motivating inversion is in the committed 1-core benchmarks:
 // BENCH_ingest.json records parse_speedup 0.80 and BENCH_stream.json
@@ -120,16 +123,18 @@ type Plan struct {
 	// Batch is the sessionizer delivery granularity (core.Config's
 	// BatchRecords): 1 pushes record-at-a-time — the low-latency choice for
 	// pipes and live traffic, where a batch would sit waiting for a chunk to
-	// fill — and <= 0 hands each parsed chunk to PushBatch whole, paying the
-	// shard lock and metrics flush once per chunk instead of once per
-	// record. Never changes the emitted sessions, only when they surface.
+	// fill (on one worker core.Run then reads a pipe line by line) — and 0
+	// hands each parsed chunk to PushBatch whole, paying the shard lock and
+	// metrics flush once per chunk instead of once per record. Never
+	// changes the emitted sessions, only when they surface.
 	Batch int
-	// Sequential reports that the parse stage should take the sequential
-	// clf.Stream path: parallelism cannot win on this input.
+	// Sequential reports that the parse stage should run on one worker:
+	// parallelism cannot win on this input.
 	Sequential bool
 	// Mmap reports that plain-file input will be served as memory-mapped
-	// zero-copy windows (informational: clf.StreamFiles selects the source
-	// per file; this records the expectation for logs and benchmarks).
+	// zero-copy windows (informational: clf.StreamFilesChunked selects the
+	// source per file; this records the expectation for logs and
+	// benchmarks).
 	Mmap bool
 	// Reason is the one-line human explanation logged at startup.
 	Reason string
@@ -146,8 +151,6 @@ func (p Plan) String() string {
 	batch := "chunk"
 	if p.Batch == 1 {
 		batch = "1"
-	} else if p.Batch > 1 {
-		batch = strconv.Itoa(p.Batch)
 	}
 	return fmt.Sprintf("%s: workers=%d shards=%d depth=%d chunk=%s batch=%s — %s",
 		mode, p.Workers, p.Shards, p.StreamDepth, fmtBytes(int64(p.ChunkBytes)), batch, p.Reason)
@@ -331,6 +334,17 @@ func ParseKnob(name, s string) (Knob, error) {
 	return Knob{N: n}, nil
 }
 
+// ParseBatchKnob is ParseKnob for -batch, which accepts only the two
+// deliveries the planner chooses between: "auto", 0 (whole chunks) or 1
+// (record at a time).
+func ParseBatchKnob(s string) (Knob, error) {
+	k, err := ParseKnob("batch", s)
+	if err == nil && !k.Auto && k.N != 0 && k.N != 1 {
+		err = fmt.Errorf("-batch: want \"auto\", 0 or 1, got %q", s)
+	}
+	return k, err
+}
+
 // Resolve produces the effective plan for in: the auto plan (calibrated
 // against sample when one is provided), with any explicit knobs overriding
 // the planner's choice — clamped to what the input and machine can use. The
@@ -338,8 +352,8 @@ func ParseKnob(name, s string) (Knob, error) {
 //
 // Explicit knob conventions match the historical integer flags: workers 0
 // means sequential, workers/shards < 0 mean all cores, depth <= 0 means the
-// default. For batch, <= 0 means whole-chunk delivery and 1 means
-// record-at-a-time.
+// default. For batch, 1 means record-at-a-time and any other value
+// whole-chunk delivery.
 func Resolve(in Input, workers, shards, depth, batch Knob, sample []byte) (Plan, []string) {
 	var p Plan
 	if workers.Auto {
@@ -389,11 +403,7 @@ func Resolve(in Input, workers, shards, depth, batch Knob, sample []byte) (Plan,
 		p.StreamDepth = d
 	}
 	if !batch.Auto {
-		b := batch.N
-		if b < 0 {
-			b = 0
-		}
-		p.Batch = b
+		p.Batch = batch.N
 	}
 	return p, notes
 }
@@ -418,15 +428,9 @@ func Stat(f *os.File) Input {
 	return in
 }
 
-// StatPath classifies a log file on disk (for replay planning before the
-// file is opened). Missing or irregular paths plan like pipes; gzip files
-// (sniffed by magic bytes) plan as KindGzip.
-func StatPath(path string) Input {
-	return StatPaths([]string{path})
-}
-
-// StatPaths classifies a resolved multi-file input set: total on-disk size,
-// KindGzip when any member is compressed, and the file count for the plan's
+// StatPaths classifies a resolved input set on disk (for replay planning
+// before the files are opened): total on-disk size, KindGzip when any member
+// is compressed (sniffed by magic bytes), and the file count for the plan's
 // decode-ahead reasoning. Any missing or irregular member degrades the whole
 // set to an unknown-size pipe plan (correct, just unsized).
 func StatPaths(paths []string) Input {

@@ -11,10 +11,10 @@ import (
 )
 
 // BenchmarkStreamIngest measures the bounded-memory streaming path:
-// sequential Stream vs the chunk-parallel StreamParallel reader (whose
+// sequential Stream vs the chunk-parallel StreamChunked reader (whose
 // intern arena is what pushes allocs/record toward zero), and the
-// end-to-end pipeline — StreamParallel feeding a ShardedTail through
-// Ingest — that cmd/sessionize -stream and cmd/serve -backfill run. The
+// end-to-end pipeline — core.Run feeding a ShardedTail from the chunked
+// reader — that cmd/sessionize -stream and cmd/serve -backfill run. The
 // records/s metric is the headline; output equivalence with the batch
 // readers is pinned by TestGoldenCorpusStream and FuzzStreamChunks.
 func BenchmarkStreamIngest(b *testing.B) {
@@ -36,7 +36,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := clf.StreamParallel(bytes.NewReader(data), workers, 0, func(clf.Record) {}); err != nil {
+				if _, err := clf.StreamChunked(bytes.NewReader(data), workers, 0, 0, func([]clf.Record) {}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -51,7 +51,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := st.Ingest(bytes.NewReader(data), core.DiscardSessions); err != nil {
+			if _, err := core.Run(st, core.Input{Reader: bytes.NewReader(data)}, core.RunOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			st.Flush()
