@@ -18,7 +18,7 @@ import (
 )
 
 // ingestBench is the JSON record -benchingest emits: one self-benchmark of
-// the streaming ingestion layer (CLF parsing and Tail/ShardedTail
+// the streaming ingestion layer (CLF parsing and single- and multi-shard Tail
 // sessionization) over a simulated log at the configured -agents scale.
 // CI runs this and uploads the file; EXPERIMENTS.md tracks the trajectory.
 //
@@ -59,10 +59,10 @@ type ingestBench struct {
 	// kind (buffered reader, mmap, gzip) at the planned parse width.
 	sourceBench
 
-	// Sessionization stage: single Tail, concurrently fed ShardedTail at
-	// full width, and the planned processor.
+	// Sessionization stage: single-shard Tail, concurrently fed Tail with
+	// one shard per core, and the planned processor.
 	TailRecsPerSec        float64 `json:"tail_recs_per_sec"`
-	ShardedTailRecsPerSec float64 `json:"sharded_tail_recs_per_sec"`
+	ShardedRecsPerSec     float64 `json:"sharded_tail_recs_per_sec"`
 	TailPlannedRecsPerSec float64 `json:"tail_planned_recs_per_sec"`
 	TailSpeedup           float64 `json:"tail_speedup"`
 }
@@ -128,7 +128,7 @@ func runBenchIngest(base eval.RunConfig, workers, shards plan.Knob, path string)
 	data := logBuf.Bytes()
 
 	// Two plans: batch parse over the in-memory log, and the live
-	// concurrent-feeder shape the ShardedTail measurement models.
+	// concurrent-feeder shape the multi-shard measurement models.
 	parseIn := plan.Input{SizeBytes: int64(len(data)), Kind: plan.KindFile}
 	parsePl, notes := plan.Resolve(parseIn, workers, plan.Auto, plan.Auto, plan.Auto, data)
 	liveIn := plan.Input{SizeBytes: -1, Kind: plan.KindLive}
@@ -206,7 +206,7 @@ func runBenchIngest(base eval.RunConfig, workers, shards plan.Knob, path string)
 	})
 	b.TailRecsPerSec = recs / sec
 
-	// Feed the ShardedTail from one goroutine per core, records partitioned
+	// Feed a Tail from one goroutine per core, records partitioned
 	// by user so each user's arrival order is preserved.
 	feeders := runtime.GOMAXPROCS(0)
 	feeds := make([][]clf.Record, feeders)
@@ -219,7 +219,7 @@ func runBenchIngest(base eval.RunConfig, workers, shards plan.Knob, path string)
 		feeds[f] = append(feeds[f], rec)
 	}
 	concurrentFeed := func(shardCount int) {
-		st, err := core.NewShardedTail(core.Config{Graph: g}, 0, shardCount)
+		st, err := core.NewSessionizer(core.Config{Graph: g}, 0, shardCount, true)
 		if err != nil {
 			panic(err)
 		}
@@ -237,10 +237,10 @@ func runBenchIngest(base eval.RunConfig, workers, shards plan.Knob, path string)
 		st.Flush()
 	}
 	sec, _ = measure(func() { concurrentFeed(runtime.GOMAXPROCS(0)) })
-	b.ShardedTailRecsPerSec = recs / sec
+	b.ShardedRecsPerSec = recs / sec
 
 	// The planned sessionizer: a single-shard plan means one feeder and a
-	// plain Tail — the baseline path itself — so its speedup is 1.0 by
+	// single-shard Tail — the baseline path itself — so its speedup is 1.0 by
 	// identity rather than a re-measurement of the same loop.
 	if livePl.Shards <= 1 {
 		b.TailPlannedRecsPerSec = b.TailRecsPerSec
@@ -269,7 +269,7 @@ func runBenchIngest(base eval.RunConfig, workers, shards plan.Knob, path string)
 		b.ParseStringAllocsPerRec, b.ParseBytesAllocsPerRec,
 		b.ParseParallelRecsPerSec, b.ParsePlannedRecsPerSec, b.ParseSpeedup,
 		b.FileRecsPerSec, b.MmapRecsPerSec, b.GzipRecsPerSec,
-		b.TailRecsPerSec, b.ShardedTailRecsPerSec, b.TailPlannedRecsPerSec, b.TailSpeedup,
+		b.TailRecsPerSec, b.ShardedRecsPerSec, b.TailPlannedRecsPerSec, b.TailSpeedup,
 		b.Workers, b.Shards, b.GOMAXPROCS)
 	return nil
 }

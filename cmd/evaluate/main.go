@@ -62,7 +62,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "concurrent sweep points (<=0: all cores; 1: sequential)")
 		progress   = flag.Bool("progress", false, "report per-point progress and a metrics snapshot on stderr")
 		benchjson  = flag.String("benchjson", "", "benchmark one evaluation point and write the measurement as JSON to this file ('-' for stdout), instead of sweeping")
-		benchingst = flag.String("benchingest", "", "benchmark the streaming ingestion layer (parse, Tail, ShardedTail) and write the measurement as JSON to this file ('-' for stdout), instead of sweeping")
+		benchingst = flag.String("benchingest", "", "benchmark the streaming ingestion layer (parse, single- and multi-shard Tail) and write the measurement as JSON to this file ('-' for stdout), instead of sweeping")
 		benchstrm  = flag.String("benchstream", "", "benchmark the bounded-memory streaming path (Stream, StreamChunked, streaming-sessionizer core.Run) and write the measurement as JSON to this file ('-' for stdout), instead of sweeping")
 		benchWkrs  = flag.String("bench-workers", "auto", "parse workers for -benchingest/-benchstream: auto (planned) or a number")
 		shards     = flag.String("shards", "auto", "sessionizer shard count for -benchingest/-benchstream: auto (planned) or a number (<=0: all cores)")

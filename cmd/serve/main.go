@@ -37,10 +37,9 @@
 // what the sessionizer ingested; "drop-count" serves and logs the request
 // but drops the record from the live sessionizer (an offline replay of the
 // log recovers the difference). Either way every shed is counted in the
-// serve.shed metric — never silent. -ingest-queue sizes the queue (0 reverts
-// to synchronous in-handler sessionizing); per-request latency lands in the
-// serve.request.seconds histogram, whose p50/p95/p99 show up at
-// /debug/metrics.
+// serve.shed metric — never silent. -ingest-queue sizes the queue (at least
+// 1); per-request latency lands in the serve.request.seconds histogram,
+// whose p50/p95/p99 show up at /debug/metrics.
 //
 // -trust-forwarded keys the client identity off the first X-Forwarded-For
 // address when the header is present — required when traffic arrives through
@@ -49,7 +48,7 @@
 // header is client-controlled.
 //
 // With -sessions the server also sessionizes its own traffic live: every
-// logged request is pushed into a core.ShardedTail (Smart-SRA), finalized
+// logged request is pushed into a core.Tail (Smart-SRA), finalized
 // sessions are appended to the given file as they close (through a
 // core.RetrySink, so transient write failures are retried and persistent
 // ones land in <sessions>.deadletter instead of vanishing; once writes
@@ -166,7 +165,7 @@ type options struct {
 func main() {
 	var (
 		o       options
-		shards  = flag.String("shards", "auto", "ShardedTail shard count for -sessions: auto (planned) or a number (0 = all cores)")
+		shards  = flag.String("shards", "auto", "live Tail shard count for -sessions: auto (planned) or a number (0 = all cores)")
 		workers = flag.String("workers", "auto", "parse goroutines for -backfill and checkpoint replay: auto (planned), 0 sequential, -1 all cores")
 		depth   = flag.String("stream-depth", "auto", "in-flight parsed chunks for replay: auto (planned) or a number (bounds replay heap, never changes output)")
 		batch   = flag.String("batch", "auto", "replay delivery granularity: auto (planned), 1 per-record, 0 whole chunks (never changes output)")
@@ -181,7 +180,7 @@ func main() {
 	flag.StringVar(&o.backfill, "backfill", "", "existing access logs to stream through the sessionizer before serving: paths/globs, gzip ok (needs -sessions)")
 	flag.StringVar(&o.ckptPath, "checkpoint", "", "crash-recovery checkpoint file (needs -log and -sessions)")
 	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 10*time.Second, "how often to snapshot state for -checkpoint")
-	flag.IntVar(&o.queueCap, "ingest-queue", 1024, "bounded ingest queue between the request path and the sessionizer (0 = synchronous)")
+	flag.IntVar(&o.queueCap, "ingest-queue", 1024, "bounded ingest queue between the request path and the sessionizer, in records (>= 1)")
 	flag.StringVar(&o.shedMode, "shed-mode", shed503, "what a full ingest queue does: 503 (refuse request, keep log == tail input) or drop-count (serve and log, drop from live tail)")
 	flag.BoolVar(&o.trustFwd, "trust-forwarded", false, "log the first X-Forwarded-For address as the client (trusted proxies and loadgen only)")
 	flag.IntVar(&o.maxInflight, "max-inflight", 0, "admission control: max concurrently handled requests, 503 above it (0 = unlimited)")
@@ -229,8 +228,8 @@ func run(o options) error {
 	if o.shedMode != shed503 && o.shedMode != shedDropCount {
 		return fmt.Errorf("-shed-mode must be %q or %q, got %q", shed503, shedDropCount, o.shedMode)
 	}
-	if o.queueCap < 0 {
-		return fmt.Errorf("-ingest-queue must be >= 0, got %d", o.queueCap)
+	if o.queueCap < 1 {
+		return fmt.Errorf("-ingest-queue must be >= 1, got %d", o.queueCap)
 	}
 
 	tf, err := os.Open(o.topoPath)
@@ -295,7 +294,7 @@ func run(o options) error {
 			fmt.Fprintln(os.Stderr, "serve:", n)
 		}
 		fmt.Fprintln(os.Stderr, "serve: plan:", pl)
-		st, err := core.NewShardedTail(core.Config{Graph: g}.WithPlan(pl), o.sessionGap, pl.Shards)
+		st, err := core.NewSessionizer(core.Config{Graph: g}.WithPlan(pl), o.sessionGap, pl.Shards, true)
 		if err != nil {
 			return err
 		}
@@ -316,7 +315,7 @@ func run(o options) error {
 			return err
 		}
 
-		if o.queueCap > 0 && o.shedMode == shed503 {
+		if o.shedMode == shed503 {
 			// Journal timed-expiry cuts beside the session file: in 503 mode
 			// the tail's input is a prefix-replay of the log, so replaying the
 			// log with these cuts reproduces the live emission byte for byte
@@ -333,7 +332,7 @@ func run(o options) error {
 			defer cf.Close()
 			s.cutsFile = cf
 		}
-		if o.queueCap > 0 && o.shedMode == shedDropCount && o.logPath != "" {
+		if o.shedMode == shedDropCount && o.logPath != "" {
 			s.drops = &dropLedger{}
 		}
 
@@ -353,7 +352,7 @@ func run(o options) error {
 	// sessionizer: one drainer goroutine batches queued records into the
 	// tail and the session sink, outside every server lock.
 	var drained sync.WaitGroup
-	if s.tee != nil && o.queueCap > 0 {
+	if s.tee != nil {
 		s.queue = newIngestQueue(o.queueCap)
 		drained.Add(1)
 		go func() {
@@ -569,15 +568,15 @@ type server struct {
 	tee      *sessionTee // nil without -sessions
 
 	// drops is the drop-count reconciliation ledger; nil outside
-	// {-shed-mode drop-count, -log, -sessions, queue > 0}.
+	// {-shed-mode drop-count, -log, -sessions}.
 	drops *dropLedger
 
 	// cutsFile journals timed-expiry cuts (sessPath + ".cuts") so an offline
 	// replay can reproduce periodic Expire emission exactly; nil unless the
-	// live tail's input is a prefix-replay of the log (503 mode with a
-	// queue), which is when byte-identity is claimed. cutSeq is the last
-	// journaled (or restored) cut's sequence number; both are guarded by mu
-	// (cuts are written under the exclusive lock).
+	// live tail's input is a prefix-replay of the log (503 mode), which is
+	// when byte-identity is claimed. cutSeq is the last journaled (or
+	// restored) cut's sequence number; both are guarded by mu (cuts are
+	// written under the exclusive lock).
 	cutsFile *os.File
 	cutSeq   int64
 
@@ -586,7 +585,7 @@ type server struct {
 	// prefix-replay of the access log, which is what makes crash recovery
 	// (replay the log) reproduce the live run byte for byte.
 	ingestMu sync.Mutex
-	queue    *ingestQueue // nil without -sessions or with -ingest-queue 0
+	queue    *ingestQueue // nil without -sessions
 	shedMode string
 	// drainBuf is the drainer's recycled session output buffer; only
 	// drainRecords touches it, and its callers never run concurrently.
@@ -924,7 +923,7 @@ func (s *server) rotate() {
 	}
 }
 
-// sessionTee pushes every logged record into a ShardedTail and appends
+// sessionTee pushes every logged record into a Tail and appends
 // finalized sessions to a file through a RetrySink: transient write
 // failures back off and retry, persistent ones are journaled to the
 // dead-letter file, and every outcome is counted. The file is managed by
@@ -932,7 +931,7 @@ func (s *server) rotate() {
 // last complete batch, so a torn write from a failed attempt is healed by
 // its own retry instead of corrupting the file.
 type sessionTee struct {
-	st   *core.ShardedTail
+	st   *core.Tail
 	sink *core.RetrySink
 
 	mu   sync.Mutex
@@ -940,7 +939,7 @@ type sessionTee struct {
 	good int64 // session-file bytes known to hold only complete batches
 }
 
-func newSessionTee(st *core.ShardedTail, f *os.File, deadLetter io.Writer) (*sessionTee, error) {
+func newSessionTee(st *core.Tail, f *os.File, deadLetter io.Writer) (*sessionTee, error) {
 	info, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -949,9 +948,6 @@ func newSessionTee(st *core.ShardedTail, f *os.File, deadLetter io.Writer) (*ses
 	t.sink = core.NewRetrySink(t.writeBatch, core.RetryOptions{DeadLetter: deadLetter})
 	return t, nil
 }
-
-// push feeds one record and writes whatever sessions it finalized.
-func (t *sessionTee) push(rec clf.Record) { t.emit(t.st.Push(rec)) }
 
 // emit appends finalized sessions to the sessions file, with retries.
 func (t *sessionTee) emit(sessions []session.Session) { t.sink.Emit(sessions) }
@@ -1047,10 +1043,10 @@ func (t *sessionTee) backfill(paths []string) error {
 	return nil
 }
 
-// flushAfter flushes the log after every record so tail -f works, and tees
-// each record into the live sessionizer when one is configured. The whole
-// per-record sequence runs under the server's shared lock so checkpoints
-// never observe a half-applied request.
+// flushAfter flushes the log after every record so tail -f works, and
+// enqueues each record for the live sessionizer when one is configured. The
+// whole per-record sequence runs under the server's shared lock so
+// checkpoints never observe a half-applied request.
 type flushAfter struct {
 	s *server
 }
@@ -1095,12 +1091,6 @@ func (f flushAfter) Record(r clf.Record) {
 	if err != nil {
 		metricLogWriteErrors.Inc()
 		fmt.Fprintln(os.Stderr, "serve: log write:", err)
-	}
-	if f.s.tee != nil && f.s.queue == nil {
-		// -ingest-queue 0: the legacy synchronous path, sessionizing on the
-		// request goroutine (the tail is concurrency-safe, so this stays
-		// outside ingestMu).
-		f.s.tee.push(r)
 	}
 }
 

@@ -169,7 +169,7 @@ func TestLiveOfflineEquivalenceWithExpiry(t *testing.T) {
 
 	// The pin: replaying the log with the journaled cuts reproduces the live
 	// session file exactly.
-	st, err := core.NewShardedTail(core.Config{Graph: g}, gap, 1)
+	st, err := core.NewSessionizer(core.Config{Graph: g}, gap, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestTornCutJournalRecovery(t *testing.T) {
 		t.Fatalf("first cut after the tear has seq %d, want %d", cuts[len(before)].Seq, last.Seq+1)
 	}
 
-	st, err := core.NewShardedTail(core.Config{Graph: g}, gap, 1)
+	st, err := core.NewSessionizer(core.Config{Graph: g}, gap, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

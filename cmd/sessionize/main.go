@@ -308,8 +308,9 @@ func startExpireLoop(every time.Duration, tick func(time.Time)) (stop func()) {
 // them at, making the output byte-identical to the live session stream even
 // when the server ran with -expire-every.
 func runStream(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths []string, statsOnly bool, sessPath string, cuts []core.ExpiryCut) error {
-	// Cut replay applies Expire inline in the delivery goroutine, so it
-	// needs no concurrent-safe tail; only the wall-clock sweep does.
+	// Every Tail is safe for concurrent use. Cut replay applies Expire
+	// inline in the delivery goroutine; only the wall-clock sweep drains
+	// concurrently, so only it lets an unplanned shard count take all cores.
 	st, err := core.NewSessionizer(cfg, rho, pl.Shards, expire > 0)
 	if err != nil {
 		return err
@@ -538,7 +539,7 @@ func runStreamCheckpointed(cfg core.Config, pl plan.Plan, rho, expire time.Durat
 	return nil
 }
 
-func printStreamStats(cfg core.Config, st core.Sessionizer, malformed int) {
+func printStreamStats(cfg core.Config, st *core.Tail, malformed int) {
 	stats := st.Stats()
 	stats.Malformed = malformed
 	if d, ok := cfg.Heuristic.(heuristics.Describer); ok {

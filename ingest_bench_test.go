@@ -30,7 +30,7 @@ func ingestWorkload(b *testing.B) (*webgraph.Graph, []clf.Record, []byte) {
 
 // BenchmarkIngest measures the streaming ingestion layer: CLF parse
 // throughput (legacy per-line-string path, []byte fast path, chunk-parallel
-// reader) and Tail vs concurrently-fed ShardedTail sessionization. The
+// reader) and single-shard vs concurrently-fed sharded Tail sessionization. The
 // records/s metric is the headline; allocs/op shows the parse path's
 // allocation reduction. On >=4 cores the parallel and sharded variants
 // should show a >=2x records/s win over their sequential baselines while
@@ -130,7 +130,7 @@ func BenchmarkIngest(b *testing.B) {
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			st, err := core.NewShardedTail(core.Config{Graph: g}, 0, 0)
+			st, err := core.NewSessionizer(core.Config{Graph: g}, 0, 0, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -173,8 +173,8 @@ func BenchmarkTailPush(b *testing.B) {
 }
 
 // BenchmarkTailPushBatch is the same workload through the batched hot path:
-// one metrics flush per 8192-record batch on a Tail, and one lock
-// acquisition per touched shard per batch on a ShardedTail.
+// one lock acquisition and one metrics flush per touched shard per
+// 8192-record batch.
 func BenchmarkTailPushBatch(b *testing.B) {
 	g, records, _ := ingestWorkload(b)
 	recs := float64(len(records))
@@ -183,7 +183,7 @@ func BenchmarkTailPushBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				st, err := core.NewShardedTail(core.Config{Graph: g}, 0, shards)
+				st, err := core.NewSessionizer(core.Config{Graph: g}, 0, shards, false)
 				if err != nil {
 					b.Fatal(err)
 				}

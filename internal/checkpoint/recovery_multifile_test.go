@@ -82,7 +82,7 @@ func attemptFiles(t *testing.T, c corpus, paths []string, sinkPath, ckptPath str
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.NewShardedTail(c.config(workers), 0, shards)
+	st, err := core.NewSessionizer(c.config(workers), 0, shards, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func (c corpus) config(workers int) core.Config {
 // and render the complete session set.
 func referenceRun(t *testing.T, c corpus) []byte {
 	t.Helper()
-	st, err := core.NewShardedTail(c.config(3), 0, 4)
+	st, err := core.NewSessionizer(c.config(3), 0, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func attempt(t *testing.T, c corpus, sinkPath, ckptPath string, fsys checkpoint.
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.NewShardedTail(c.config(workers), 0, shards)
+	st, err := core.NewSessionizer(c.config(workers), 0, shards, false)
 	if err != nil {
 		t.Fatal(err)
 	}

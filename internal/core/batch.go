@@ -39,120 +39,98 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // PushBatch feeds a slice of records, returning the sessions they finalized
 // in exactly the order a record-at-a-time Push loop would have returned
-// them. The pre-shard stages (filter, resolve, key, shard hash) run once per
-// record on the calling goroutine, but each shard's lock is taken once per
-// batch — not once per record — and stage counters and metrics flush once
-// per batch. Safe for concurrent use; the input slice is not retained.
-func (st *ShardedTail) PushBatch(recs []clf.Record) []session.Session {
-	return st.PushBatchInto(nil, recs)
+// them. It is the amortized hot path: the pre-shard stages (filter, resolve,
+// key, shard hash) run once per record on the calling goroutine, but each
+// shard's lock is taken once per batch — not once per record — and stage
+// counters and metrics flush once per batch. Safe for concurrent use; the
+// input slice is not retained.
+func (t *Tail) PushBatch(recs []clf.Record) []session.Session {
+	return t.PushBatchInto(nil, recs)
 }
 
 // PushBatchInto is PushBatch appending onto dst, for callers that hand the
 // result straight to a SessionSink and recycle the buffer (the sink contract
 // forbids retention): long-running drain loops stay allocation-free on the
 // output side. Pass dst[:0] to reuse capacity across batches.
-func (st *ShardedTail) PushBatchInto(dst []session.Session, recs []clf.Record) []session.Session {
+func (t *Tail) PushBatchInto(dst []session.Session, recs []clf.Record) []session.Session {
 	if len(recs) == 0 {
 		return dst
 	}
-	st.records.Add(int64(len(recs)))
-	metricTailRecords.Add(int64(len(recs)))
+	t.count(int64(len(recs)), 0, 0)
+	var filtered, unresolved int64
+	out := dst
+	if len(t.shards) == 1 {
+		// Nothing to route: the whole batch goes to the shard under one
+		// lock, with no staging copy, in batch order.
+		sh := t.shards[0]
+		sh.mu.Lock()
+		for i := range recs {
+			if user, page, ok := t.stage(&recs[i], &filtered, &unresolved); ok {
+				out = sh.pushResolved(out, user, page, recs[i].Time)
+			}
+		}
+		sh.syncMetrics()
+		sh.mu.Unlock()
+		t.count(0, filtered, unresolved)
+		return out
+	}
 
 	scr := batchScratchPool.Get().(*batchScratch)
-	if len(scr.routes) != len(st.shards) {
-		scr.routes = make([][]routedRec, len(st.shards))
+	if len(scr.routes) != len(t.shards) {
+		scr.routes = make([][]routedRec, len(t.shards))
 	}
-
-	// Stage and bucket: filter → resolve → key → shard, all pure functions,
-	// outside any lock.
-	var filtered, unresolved int64
+	// Stage and bucket outside any lock.
 	for i := range recs {
-		rec := &recs[i]
-		if st.cfg.Filter != nil && !st.cfg.Filter(*rec) {
-			filtered++
-			continue
+		if user, page, ok := t.stage(&recs[i], &filtered, &unresolved); ok {
+			si := shardOf(user, len(t.shards))
+			scr.routes[si] = append(scr.routes[si], routedRec{seq: int32(i), page: page, user: user, at: recs[i].Time})
 		}
-		page, ok := st.cfg.Resolver(rec.URI)
-		if !ok {
-			unresolved++
-			continue
-		}
-		user := st.cfg.Key(*rec)
-		si := shardOf(user, len(st.shards))
-		scr.routes[si] = append(scr.routes[si], routedRec{seq: int32(i), page: page, user: user, at: rec.Time})
 	}
-	if filtered != 0 {
-		st.filtered.Add(filtered)
-	}
-	if unresolved != 0 {
-		st.unresolved.Add(unresolved)
-	}
+	t.count(0, filtered, unresolved)
 
+	// One lock acquisition per touched shard. With several shards touched,
+	// finalized sessions carry their record's batch position and are merged
+	// back into arrival order afterwards, making the output byte-identical
+	// to the single-record path; with one, shard order is batch order.
 	touched := 0
-	last := -1
-	for si := range scr.routes {
-		if len(scr.routes[si]) > 0 {
+	for _, route := range scr.routes {
+		if len(route) > 0 {
 			touched++
-			last = si
 		}
 	}
-
-	out := dst
-	switch {
-	case touched == 0:
-		// Everything filtered or unresolved.
-	case touched == 1:
-		// Single-shard fast path (always taken at shards == 1): per-shard
-		// processing order is batch order, so no merge is needed.
-		sh := st.shards[last]
-		route := scr.routes[last]
+	merged := scr.merged[:0]
+	for si, route := range scr.routes {
+		if len(route) == 0 {
+			continue
+		}
+		sh := t.shards[si]
 		sh.mu.Lock()
 		for i := range route {
 			r := &route[i]
-			out = sh.tail.pushResolved(out, r.user, r.page, r.at)
+			if touched == 1 {
+				out = sh.pushResolved(out, r.user, r.page, r.at)
+			} else if s := sh.pushResolved(nil, r.user, r.page, r.at); len(s) > 0 {
+				merged = append(merged, seqSessions{seq: r.seq, sessions: s})
+			}
 		}
-		sh.tail.syncMetrics()
+		sh.syncMetrics()
 		sh.mu.Unlock()
-	default:
-		// One lock acquisition per touched shard; finalized sessions carry
-		// their record's batch position and are merged back into arrival
-		// order afterwards, making the output byte-identical to the
-		// single-record path.
-		merged := scr.merged[:0]
-		for si := range scr.routes {
-			route := scr.routes[si]
-			if len(route) == 0 {
-				continue
-			}
-			sh := st.shards[si]
-			sh.mu.Lock()
-			for i := range route {
-				r := &route[i]
-				if s := sh.tail.pushResolved(nil, r.user, r.page, r.at); len(s) > 0 {
-					merged = append(merged, seqSessions{seq: r.seq, sessions: s})
-				}
-			}
-			sh.tail.syncMetrics()
-			sh.mu.Unlock()
-		}
-		if len(merged) > 0 {
-			sort.Slice(merged, func(i, j int) bool { return merged[i].seq < merged[j].seq })
-			for i := range merged {
-				out = append(out, merged[i].sessions...)
-				merged[i].sessions = nil
-			}
-		}
-		scr.merged = merged
 	}
+	if len(merged) > 1 {
+		sort.Slice(merged, func(i, j int) bool { return merged[i].seq < merged[j].seq })
+	}
+	for i := range merged {
+		out = append(out, merged[i].sessions...)
+		merged[i].sessions = nil
+	}
+	scr.merged = merged[:0]
 
-	for si := range scr.routes {
-		route := scr.routes[si]
+	for si, route := range scr.routes {
 		for i := range route {
 			route[i].user = "" // drop string references while pooled
 		}
 		scr.routes[si] = route[:0]
 	}
-	scr.merged = scr.merged[:0]
 	batchScratchPool.Put(scr)
 	return out
 }

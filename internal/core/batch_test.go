@@ -14,8 +14,8 @@ import (
 // TestGoldenCorpusBatchSizes pins PushBatch's contract directly: feeding the
 // golden corpus through PushBatch in every batch size — record-at-a-time,
 // tiny, chunk-unaligned, large, and the whole log at once — produces bytes
-// identical to the committed golden stream output, on the plain Tail and on
-// every shard count. The same sweep then runs through Run with the
+// identical to the committed golden stream output, on NewTail's single
+// shard and on every shard count. The same sweep then runs through Run with the
 // Config.BatchRecords knob (0 = whole chunk, 1 = per-record loop, the
 // line-at-a-time reader with one worker), which is the path cmd/serve and
 // cmd/sessionize actually configure.
@@ -46,7 +46,7 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 			}
 			return proc{name: "tail", pushBatch: tl.PushBatch, flush: tl.Flush}
 		}
-		st, err := NewShardedTail(cfg, 0, shards)
+		st, err := NewSessionizer(cfg, 0, shards, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 					}
 					got = append(got, tl.Flush()...)
 				} else {
-					st, err := NewShardedTail(cfg, 0, shards)
+					st, err := NewSessionizer(cfg, 0, shards, false)
 					if err != nil {
 						t.Fatal(err)
 					}

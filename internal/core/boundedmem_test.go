@@ -97,7 +97,7 @@ func (m *memSampler) sample() {
 
 // TestStreamParallelBoundedMemory is the bounded-memory regression test: a
 // multi-hundred-MiB synthetic log (generated, never materialized) streamed
-// into a ShardedTail through Run must keep the heap high-water under a
+// into a sharded Tail through Run must keep the heap high-water under a
 // fixed budget that does not depend on the log's length — the property that
 // separates streaming from a batch read, whose record slice alone would
 // dwarf the budget. Two lengths run under the same budget to pin the
@@ -125,14 +125,14 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 	}
 
 	run := func(total int64) uint64 {
-		st, err := NewShardedTail(Config{
+		st, err := NewSessionizer(Config{
 			Graph: g,
 			// Time-gap keeps burst reconstruction linear; the test measures
 			// ingestion memory, not Smart-SRA's CPU profile.
 			Heuristic:   heuristics.NewTimeGap(),
 			Workers:     4,
 			StreamDepth: 8,
-		}, 0, 4)
+		}, 0, 4, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -205,7 +205,7 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 	}
 
 	// Crash-recovery shape: run the first part through a Tail fed directly,
-	// snapshot, restore into a fresh ShardedTail, and resume the file replay
+	// snapshot, restore into a fresh 3-shard Tail, and resume the file replay
 	// from the matching byte offset with base = restored record count and
 	// only the still-pending cuts. The concatenated emission must match.
 	split := n * 2 / 5
@@ -231,7 +231,7 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 		resumeOff += int64(nl) + 1
 		rest = rest[nl+1:]
 	}
-	st, err := NewShardedTail(Config{Graph: g, Workers: 2, StreamDepth: 2}, 0, 3)
+	st, err := NewSessionizer(Config{Graph: g, Workers: 2, StreamDepth: 2}, 0, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}

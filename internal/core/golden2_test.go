@@ -141,7 +141,7 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 			for _, depth := range []int{1, 4} {
 				name := fmt.Sprintf("shards=%d workers=%d depth=%d", shards, workers, depth)
 				cfg := Config{Graph: g, Workers: workers, StreamDepth: depth}
-				st, err := NewShardedTail(cfg, 0, shards)
+				st, err := NewSessionizer(cfg, 0, shards, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -164,7 +164,7 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 	}
 
 	// The offset-reporting path must emit the identical stream too.
-	st, err := NewShardedTail(Config{Graph: g, Workers: 2, StreamDepth: 2, StreamChunkBytes: 16 << 10}, 0, 3)
+	st, err := NewSessionizer(Config{Graph: g, Workers: 2, StreamDepth: 2, StreamChunkBytes: 16 << 10}, 0, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,8 @@ func splitGoldenLines(t *testing.T, log []byte, n int) [][]byte {
 // bytes as the in-memory readers: the corpus served from a plain file (mmap
 // and buffered-reader sources), a gzip copy, and a rotated three-file set
 // with a gzip member and a missing final newline, through both the raw
-// clf.StreamFilesChunked reader and Run on Tail/ShardedTail, across
-// worker/shard widths.
+// clf.StreamFilesChunked reader and Run on single- and multi-shard Tails,
+// across worker/shard widths.
 func TestGoldenCorpusSources(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	g := goldenGraph()
@@ -132,18 +132,18 @@ func TestGoldenCorpusSources(t *testing.T) {
 				}
 
 				for _, shards := range []int{1, 3} {
-					st, err := NewShardedTail(cfg, 0, shards)
+					st, err := NewSessionizer(cfg, 0, shards, false)
 					if err != nil {
 						t.Fatal(err)
 					}
 					got = nil
 					bad, err := Run(st, Input{Paths: paths}, RunOptions{Sink: collect})
 					if err != nil {
-						t.Fatalf("%s s=%d: Run(ShardedTail): %v", label, shards, err)
+						t.Fatalf("%s s=%d: Run(sharded): %v", label, shards, err)
 					}
 					got = append(got, st.Flush()...)
 					if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
-						t.Fatalf("%s s=%d: Run(ShardedTail) differs from golden (malformed=%d)",
+						t.Fatalf("%s s=%d: Run(sharded) differs from golden (malformed=%d)",
 							label, shards, bad)
 					}
 				}

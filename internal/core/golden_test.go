@@ -17,7 +17,7 @@ import (
 // malformed, out-of-order, CRLF-terminated, combined-format, filtered, and
 // unresolved lines, pinned to checked-in session output. Every ingestion
 // variant — batch (sessionize-style Pipeline.ProcessLog) and streaming
-// (serve-style Tail/ShardedTail feeding) — must reproduce its golden file
+// (serve-style Tail feeding) — must reproduce its golden file
 // byte for byte across the whole {workers, shards, depth} sweep, and every
 // variant must count the same malformed lines. Regenerate with
 //
@@ -122,7 +122,7 @@ func readGoldenOrGot(t *testing.T, name string, got []byte) []byte {
 // TestGoldenCorpusStream pins the serve-style streaming path: every record
 // source (ReadAll, the parallel batch read ProcessLog collects from
 // StreamChunked, Stream, StreamChunked, and Run) feeding every processor
-// (Tail, ShardedTail) across the {workers, shards, depth} sweep emits
+// (single- and multi-shard Tail) across the {workers, shards, depth} sweep emits
 // byte-identical sessions — the finalized-during-feed prefix and the Flush
 // tail concatenated — and the same malformed count.
 func TestGoldenCorpusStream(t *testing.T) {
@@ -164,7 +164,7 @@ func TestGoldenCorpusStream(t *testing.T) {
 			}
 			return proc{name: "tail", push: tl.Push, flush: tl.Flush}
 		}
-		st, err := NewShardedTail(cfg, 0, shards)
+		st, err := NewSessionizer(cfg, 0, shards, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestGoldenCorpusStream(t *testing.T) {
 				t.Fatalf("Run(tail) (w=%d d=%d): output differs from golden (malformed=%d)", workers, depth, bad)
 			}
 			for _, shards := range []int{1, 3, 8} {
-				st, err := NewShardedTail(cfg, 0, shards)
+				st, err := NewSessionizer(cfg, 0, shards, false)
 				if err != nil {
 					t.Fatal(err)
 				}

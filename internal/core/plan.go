@@ -1,11 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"time"
 
-	"smartsra/internal/clf"
 	"smartsra/internal/plan"
-	"smartsra/internal/session"
 )
 
 // WithPlan returns a copy of c with the execution knobs set from p. The
@@ -20,36 +19,16 @@ func (c Config) WithPlan(p plan.Plan) Config {
 	return c
 }
 
-// Sessionizer is the streaming-processor surface Tail and ShardedTail
-// share: push records, drain finalized sessions, and snapshot/restore for
-// crash recovery; Run streams a whole input into one. It lets callers pick
-// the processor an execution plan calls for without committing to a
-// concrete type.
-type Sessionizer interface {
-	Push(clf.Record) []session.Session
-	PushBatch([]clf.Record) []session.Session
-	Flush() []session.Session
-	Expire(time.Time) []session.Session
-	Snapshot() TailSnapshot
-	Restore(TailSnapshot) error
-	Stats() Stats
-	Buffered() int
-}
-
-var (
-	_ Sessionizer = (*Tail)(nil)
-	_ Sessionizer = (*ShardedTail)(nil)
-)
-
-// NewSessionizer builds the streaming processor a plan calls for: a plain
-// Tail when one shard suffices and nothing touches it concurrently, a
-// lock-striped ShardedTail otherwise. concurrent forces the ShardedTail
-// even single-sharded — Tail is not safe for concurrent use, and the
-// single-shard ShardedTail costs only one uncontended lock per record (its
-// hash is skipped). Output is byte-identical either way.
-func NewSessionizer(cfg Config, rho time.Duration, shards int, concurrent bool) (Sessionizer, error) {
-	if shards <= 1 && !concurrent {
-		return NewTail(cfg, rho)
+// NewSessionizer builds the streaming processor a plan calls for: a Tail
+// with the plan's shard count. shards <= 0 means one shard per core
+// (GOMAXPROCS) when the Tail will be fed or drained concurrently, and a
+// single shard otherwise. Output is byte-identical for any shard count.
+func NewSessionizer(cfg Config, rho time.Duration, shards int, concurrent bool) (*Tail, error) {
+	if shards <= 0 {
+		shards = 1
+		if concurrent {
+			shards = runtime.GOMAXPROCS(0)
+		}
 	}
-	return NewShardedTail(cfg, rho, shards)
+	return newTail(cfg, rho, shards)
 }

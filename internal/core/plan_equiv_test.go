@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -78,37 +79,34 @@ func TestPlanGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestNewSessionizerPicksProcessor: the sequential single-shard plan gets a
-// plain Tail, anything concurrent or sharded gets the lock-striped
-// ShardedTail.
+// TestNewSessionizerPicksProcessor pins the shard count NewSessionizer
+// builds: an explicit count is kept, and a non-positive one means every core
+// for a concurrently used Tail and a single shard otherwise.
 func TestNewSessionizerPicksProcessor(t *testing.T) {
-	g := goldenGraph()
-	cfg := Config{Graph: g}
-	s, err := NewSessionizer(cfg, 0, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(*Tail); !ok {
-		t.Fatalf("1 shard, not concurrent: got %T, want *Tail", s)
-	}
-	s, err = NewSessionizer(cfg, 0, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(*ShardedTail); !ok {
-		t.Fatalf("concurrent: got %T, want *ShardedTail", s)
-	}
-	s, err = NewSessionizer(cfg, 0, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, ok := s.(*ShardedTail); !ok || st.Shards() != 4 {
-		t.Fatalf("4 shards: got %T, want 4-shard *ShardedTail", s)
+	cfg := Config{Graph: goldenGraph()}
+	for _, c := range []struct {
+		shards     int
+		concurrent bool
+		want       int
+	}{
+		{1, false, 1},
+		{1, true, 1},
+		{4, false, 4},
+		{0, true, runtime.GOMAXPROCS(0)},
+		{0, false, 1},
+	} {
+		s, err := NewSessionizer(cfg, 0, c.shards, c.concurrent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Shards(); got != c.want {
+			t.Errorf("NewSessionizer(shards=%d, concurrent=%v): %d shards, want %d", c.shards, c.concurrent, got, c.want)
+		}
 	}
 }
 
-// TestSessionizerConcurrentExpire: the ShardedTail a concurrent plan
-// produces tolerates Expire racing Run — the sessionize -stream periodic
+// TestSessionizerConcurrentExpire: the Tail a concurrent plan produces
+// tolerates Expire racing Run — the sessionize -stream periodic
 // expiry path — without corrupting output counts (data races are caught by
 // the suite's -race run).
 func TestSessionizerConcurrentExpire(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 	"smartsra/internal/webgraph"
 )
 
-// runCase is one point of the Run sweep: processor × parse workers ×
+// runCase is one point of the Run sweep: shard count × parse workers ×
 // delivery granularity × input kind.
 type runCase struct {
 	shards, workers, batch int
@@ -34,7 +34,7 @@ func (c runCase) String() string {
 
 func runCases() []runCase {
 	var cases []runCase
-	for _, shards := range []int{0, 3} { // 0: plain Tail
+	for _, shards := range []int{1, 3} {
 		for _, workers := range []int{1, 2} {
 			for _, batch := range []int{1, 0} { // per record, whole chunk
 				for _, file := range []bool{false, true} {
@@ -54,13 +54,7 @@ func (c runCase) run(t *testing.T, cfg Config, log []byte, path string, opt RunO
 	// Small chunks put many chunk boundaries — and cut boundaries inside
 	// chunks — into a modest log.
 	cfg.StreamChunkBytes = 4 << 10
-	var s Sessionizer
-	var err error
-	if c.shards == 0 {
-		s, err = NewTail(cfg, 0)
-	} else {
-		s, err = NewShardedTail(cfg, 0, c.shards)
-	}
+	s, err := NewSessionizer(cfg, 0, c.shards, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +144,7 @@ func randomCuts(rng *rand.Rand, records []clf.Record) []ExpiryCut {
 }
 
 // TestRunMatchesBatchProperty is streaming ≡ batch as a property over
-// simulator seeds. For every seed, Run over {Tail, 3-shard ShardedTail} ×
+// simulator seeds. For every seed, Run over {1, 3} shards ×
 // workers {1, 2} × delivery {per record, whole chunk} × {reader, file}:
 //
 //   - without cuts emits exactly the sessions Pipeline.ProcessRecords

@@ -20,10 +20,10 @@ import (
 // (see Tail's Users semantics); the expiry wheel itself needs no serialized
 // form, because Restore rebuilds it from each user's Last timestamp.
 //
-// The format is deliberately shard-free: ShardedTail.Snapshot merges its
-// shards into one user-sorted list and ShardedTail.Restore re-hashes users
-// onto whatever shard count the restoring process runs with, so a snapshot
-// taken with N shards restores into M shards (or a plain Tail) unchanged.
+// The format is deliberately shard-free: Snapshot merges a Tail's shards
+// into one user-sorted list and Restore re-hashes users onto whatever shard
+// count the restoring process runs with, so a snapshot taken with N shards
+// restores into M shards unchanged.
 type TailSnapshot struct {
 	// Stats are the counters accumulated up to the snapshot.
 	Stats Stats
@@ -44,86 +44,21 @@ type UserState struct {
 	Entries []session.Entry
 }
 
-// Snapshot deep-copies the Tail's recoverable state. Like every other Tail
-// method it must not race with Push; callers streaming concurrently take
-// their snapshot from the delivery goroutine (or under their own lock).
+// Snapshot deep-copies the Tail's recoverable state into one shard-free
+// snapshot. It holds every shard's lock while it copies, but it is exact only
+// when no push is in flight: Push and PushBatchInto count a record in
+// Stats.Records before they take its shard's lock, so a concurrent snapshot
+// can count a record whose entry it does not hold. Callers snapshot at a
+// quiescent point — serve behind its ingest-queue barrier, sessionize from
+// the delivery goroutine.
 func (t *Tail) Snapshot() TailSnapshot {
-	snap := TailSnapshot{
-		Stats: t.stats,
-		Users: make([]UserState, 0, len(t.buffers)),
-	}
-	for user, b := range t.buffers {
-		if len(b.entries) == 0 {
-			continue
-		}
-		snap.Users = append(snap.Users, UserState{
-			User:    user,
-			Last:    b.last,
-			Entries: append([]session.Entry(nil), b.entries...),
-		})
-	}
-	sort.Slice(snap.Users, func(i, j int) bool { return snap.Users[i].User < snap.Users[j].User })
-	return snap
-}
-
-// Restore replaces the Tail's state with the snapshot's, discarding anything
-// currently buffered, and rebuilds the expiry wheel from the restored users'
-// last-activity times. It validates the snapshot (no duplicate users, stats
-// consistent with the user list) so a logically corrupt snapshot is rejected
-// instead of silently poisoning recovery.
-func (t *Tail) Restore(snap TailSnapshot) error {
-	if err := snap.validate(); err != nil {
-		return err
-	}
-	buffers := make(map[string]*burst, len(snap.Users))
-	wheel := make(map[int64][]string)
-	buffered := 0
-	for _, u := range snap.Users {
-		if len(u.Entries) == 0 {
-			continue // entry-less user from a pre-eviction snapshot
-		}
-		buffers[u.User] = &burst{
-			entries:  append([]session.Entry(nil), u.Entries...),
-			last:     u.Last,
-			lastNano: u.Last.UnixNano(),
-			unsorted: !entriesSorted(u.Entries),
-		}
-		buffered += len(u.Entries)
-	}
-	t.buffers = buffers
-	t.buffered = buffered
-	t.stats = snap.Stats
-	t.wheel = wheel
-	for user, b := range buffers {
-		t.wheelAdd(user, b.last)
-	}
-	t.syncMetrics()
-	return nil
-}
-
-// Snapshot merges every shard's state into one shard-free snapshot. It locks
-// all shards for the duration, so the result is consistent even with
-// concurrent Push calls: a snapshot observes each record entirely or not at
-// all.
-func (st *ShardedTail) Snapshot() TailSnapshot {
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range st.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	snap := TailSnapshot{Stats: Stats{
-		Records:    int(st.records.Load()),
-		Filtered:   int(st.filtered.Load()),
-		Unresolved: int(st.unresolved.Load()),
-	}}
-	for _, sh := range st.shards {
-		s := sh.tail.Stats()
-		snap.Stats.Users += s.Users
-		snap.Stats.Sessions += s.Sessions
-		for user, b := range sh.tail.buffers {
+	t.lockAll()
+	defer t.unlockAll()
+	snap := TailSnapshot{Stats: t.stageStats()}
+	for _, sh := range t.shards {
+		snap.Stats.Users += sh.users
+		snap.Stats.Sessions += sh.sessions
+		for user, b := range sh.buffers {
 			if len(b.entries) == 0 {
 				continue
 			}
@@ -138,54 +73,62 @@ func (st *ShardedTail) Snapshot() TailSnapshot {
 	return snap
 }
 
-// Restore replaces the ShardedTail's state with the snapshot's, re-hashing
-// users onto this processor's shard count (which need not match the one the
-// snapshot was taken with) and rebuilding each shard's expiry wheel. Not
-// safe to run concurrently with Push.
-func (st *ShardedTail) Restore(snap TailSnapshot) error {
+// Restore replaces the Tail's state with the snapshot's, discarding anything
+// currently buffered, re-hashing users onto this Tail's shard count (which
+// need not match the one the snapshot was taken with) and rebuilding each
+// shard's expiry wheel from the users' last-activity times. It validates the
+// snapshot (sorted unique users, stats consistent with the user list) so a
+// logically corrupt snapshot is rejected instead of silently poisoning
+// recovery. Not safe to run concurrently with a push.
+func (t *Tail) Restore(snap TailSnapshot) error {
 	if err := snap.validate(); err != nil {
 		return err
 	}
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range st.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	for _, sh := range st.shards {
-		sh.tail.buffers = make(map[string]*burst)
-		sh.tail.wheel = make(map[int64][]string)
-		sh.tail.buffered = 0
-		sh.tail.stats = Stats{}
+	t.lockAll()
+	defer t.unlockAll()
+	for _, sh := range t.shards {
+		sh.buffers = make(map[string]*burst)
+		sh.wheel = make(map[int64][]string)
+		sh.buffered, sh.users, sh.sessions = 0, 0, 0
 	}
 	for _, u := range snap.Users {
 		if len(u.Entries) == 0 {
 			continue // entry-less user from a pre-eviction snapshot
 		}
-		sh := st.shards[shardOf(u.User, len(st.shards))]
-		sh.tail.buffers[u.User] = &burst{
+		sh := t.shardFor(u.User)
+		sh.buffers[u.User] = &burst{
 			entries:  append([]session.Entry(nil), u.Entries...),
 			last:     u.Last,
 			lastNano: u.Last.UnixNano(),
 			unsorted: !entriesSorted(u.Entries),
 		}
-		sh.tail.buffered += len(u.Entries)
-		sh.tail.wheelAdd(u.User, u.Last)
+		sh.buffered += len(u.Entries)
+		sh.wheelAdd(u.User, u.Last)
 	}
-	// The aggregate user and session counts have no natural shard (users are
+	// The user and session counts have no natural shard (users are
 	// cumulative activations, not the open set); parking them on shard 0
-	// keeps Stats() exact — per-shard splits are not exposed.
-	st.shards[0].tail.stats.Sessions = snap.Stats.Sessions
-	st.shards[0].tail.stats.Users = snap.Stats.Users
-	st.records.Store(int64(snap.Stats.Records))
-	st.filtered.Store(int64(snap.Stats.Filtered))
-	st.unresolved.Store(int64(snap.Stats.Unresolved))
-	for _, sh := range st.shards {
-		sh.tail.syncMetrics()
+	// keeps Stats exact — per-shard splits are not exposed.
+	t.shards[0].users = snap.Stats.Users
+	t.shards[0].sessions = snap.Stats.Sessions
+	t.records.Store(int64(snap.Stats.Records))
+	t.filtered.Store(int64(snap.Stats.Filtered))
+	t.unresolved.Store(int64(snap.Stats.Unresolved))
+	for _, sh := range t.shards {
+		sh.syncMetrics()
 	}
 	return nil
+}
+
+func (t *Tail) lockAll() {
+	for _, sh := range t.shards {
+		sh.mu.Lock()
+	}
+}
+
+func (t *Tail) unlockAll() {
+	for _, sh := range t.shards {
+		sh.mu.Unlock()
+	}
 }
 
 // validate rejects snapshots whose invariants do not hold — the last line of

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
+	"time"
 
 	"smartsra/internal/clf"
 	"smartsra/internal/session"
+	"smartsra/internal/webgraph"
 )
 
 // feedTail pushes records one by one, collecting finalized sessions.
@@ -63,7 +67,7 @@ func TestTailSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // TestShardedSnapshotRestoreAcrossShardCounts: a snapshot taken from one
-// shard count restores into any other shard count (and into a plain Tail)
+// shard count restores into any other shard count (and into NewTail's one)
 // without changing the emitted sessions or the stats.
 func TestShardedSnapshotRestoreAcrossShardCounts(t *testing.T) {
 	log := readGolden(t, "golden.log")
@@ -84,7 +88,7 @@ func TestShardedSnapshotRestoreAcrossShardCounts(t *testing.T) {
 
 	cut := len(records) / 2
 	for _, fromShards := range []int{1, 3, 8} {
-		src, err := NewShardedTail(Config{Graph: g}, 0, fromShards)
+		src, err := NewSessionizer(Config{Graph: g}, 0, fromShards, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +99,7 @@ func TestShardedSnapshotRestoreAcrossShardCounts(t *testing.T) {
 		}
 
 		for _, toShards := range []int{1, 2, 5} {
-			dst, err := NewShardedTail(Config{Graph: g}, 0, toShards)
+			dst, err := NewSessionizer(Config{Graph: g}, 0, toShards, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +116,7 @@ func TestShardedSnapshotRestoreAcrossShardCounts(t *testing.T) {
 			}
 		}
 
-		// Sharded snapshot into a plain Tail.
+		// Sharded snapshot into a single-shard Tail.
 		tl, err := NewTail(Config{Graph: g}, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -164,8 +168,8 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 }
 
 // TestRestoreRejectsInvalidSnapshots: logically corrupt snapshots (duplicate
-// or unsorted users, stats inconsistent with the user list) are rejected by
-// both processors.
+// or unsorted users, stats inconsistent with the user list) are rejected on
+// one shard and on several.
 func TestRestoreRejectsInvalidSnapshots(t *testing.T) {
 	g := goldenGraph()
 	cases := map[string]TailSnapshot{
@@ -192,12 +196,12 @@ func TestRestoreRejectsInvalidSnapshots(t *testing.T) {
 		if err := tl.Restore(snap); err == nil {
 			t.Errorf("%s: Tail.Restore accepted invalid snapshot", name)
 		}
-		st, err := NewShardedTail(Config{Graph: g}, 0, 3)
+		st, err := NewSessionizer(Config{Graph: g}, 0, 3, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Restore(snap); err == nil {
-			t.Errorf("%s: ShardedTail.Restore accepted invalid snapshot", name)
+			t.Errorf("%s: 3-shard Restore accepted invalid snapshot", name)
 		}
 	}
 }
@@ -217,7 +221,7 @@ func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
 		sunk []byte // sessions emitted up to this boundary
 	}
 	cfg := Config{Graph: g, Workers: 2, StreamDepth: 2}
-	src, err := NewShardedTail(cfg, 0, 3)
+	src, err := NewSessionizer(cfg, 0, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +242,7 @@ func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
 	}
 
 	for i, p := range points {
-		dst, err := NewShardedTail(cfg, 0, 2)
+		dst, err := NewSessionizer(cfg, 0, 2, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,4 +260,110 @@ func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
 			t.Fatalf("boundary %d (offset %d): resumed run diverges from golden", i, p.off)
 		}
 	}
+}
+
+// snapshotFromBytes decodes fuzz bytes into a TailSnapshot: five stat bytes,
+// then per user a key from a six-letter alphabet (arbitrary order,
+// duplicates possible), an entry count of 0–4, a Last time, and per entry a
+// page ID from -1 to pages+1 (so some fall outside the graph) and a time.
+// Times are signed 32-bit second offsets from the epoch, so they land
+// before and after it and far apart. Decoding stops when the bytes run out.
+func snapshotFromBytes(data []byte, pages int) TailSnapshot {
+	next := func(n int) []byte {
+		if len(data) < n {
+			data = nil
+			return nil
+		}
+		b := data[:n]
+		data = data[n:]
+		return b
+	}
+	at := func() (time.Time, bool) {
+		b := next(4)
+		if b == nil {
+			return time.Time{}, false
+		}
+		return time.Unix(int64(int32(binary.LittleEndian.Uint32(b))), 0), true
+	}
+	var snap TailSnapshot
+	if st := next(5); st != nil {
+		snap.Stats = Stats{Records: int(st[0]), Filtered: int(st[1]), Unresolved: int(st[2]), Users: int(st[3] % 16), Sessions: int(st[4])}
+	}
+	for {
+		hdr := next(2)
+		if hdr == nil {
+			return snap
+		}
+		last, ok := at()
+		if !ok {
+			return snap
+		}
+		u := UserState{User: string(rune('a' + hdr[0]%6)), Last: last}
+		for i := 0; i < int(hdr[1]%5); i++ {
+			pg := next(1)
+			t, ok := at()
+			if !ok {
+				break
+			}
+			u.Entries = append(u.Entries, session.Entry{Page: webgraph.PageID(int(pg[0])%(pages+3) - 1), Time: t})
+		}
+		snap.Users = append(snap.Users, u)
+	}
+}
+
+// FuzzTailRestore pins the one Restore over arbitrary snapshots: a
+// single-shard and a 3-shard Tail never panic and agree on accepting or
+// rejecting. When accepted, Snapshot hands back the input's users minus the
+// entry-less ones with the input's stats on both, and Flush emits
+// byte-identical sessions on both, each in time order.
+func FuzzTailRestore(f *testing.F) {
+	f.Add([]byte{9, 1, 2, 3, 7, 0, 2, 0, 0, 0, 0, 3, 100, 0, 0, 0, 4, 160, 0, 0, 0, 1, 1, 1, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 2, 0, 1, 0, 10, 0, 0, 0, 0, 4, 0, 0, 0, 200, 0, 0, 0})
+	f.Add([]byte{5, 5, 5, 5, 5, 3, 4, 255, 255, 255, 255, 2, 0, 0, 0, 128, 3, 10, 0, 0, 128, 1, 4, 0, 0, 0, 0, 0, 1, 0, 0, 0})
+	f.Add([]byte{1, 0, 0, 3, 0, 2, 1, 0, 0, 0, 0, 40, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	g := goldenGraph()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap := snapshotFromBytes(data, g.NumPages())
+		one, err := NewTail(Config{Graph: g}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		three, err := NewSessionizer(Config{Graph: g}, 0, 3, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err1, err3 := one.Restore(snap), three.Restore(snap)
+		if (err1 == nil) != (err3 == nil) {
+			t.Fatalf("1 shard: %v, 3 shards: %v", err1, err3)
+		}
+		if err1 != nil {
+			return
+		}
+		var want []UserState
+		for _, u := range snap.Users {
+			if len(u.Entries) > 0 {
+				want = append(want, u)
+			}
+		}
+		for _, tl := range []*Tail{one, three} {
+			got := tl.Snapshot()
+			if !reflect.DeepEqual(got.Users, want) {
+				t.Fatalf("%d shards: snapshot users %+v, want %+v", tl.Shards(), got.Users, want)
+			}
+			if got.Stats != snap.Stats || tl.Stats() != snap.Stats {
+				t.Fatalf("%d shards: stats %+v / %+v, want %+v", tl.Shards(), got.Stats, tl.Stats(), snap.Stats)
+			}
+		}
+		out1, out3 := one.Flush(), three.Flush()
+		if !bytes.Equal(renderSessions(t, out1), renderSessions(t, out3)) {
+			t.Fatalf("Flush differs between 1 and 3 shards:\n%s\nvs\n%s", renderSessions(t, out1), renderSessions(t, out3))
+		}
+		for _, s := range out1 {
+			for i := 1; i < len(s.Entries); i++ {
+				if s.Entries[i].Time.Before(s.Entries[i-1].Time) {
+					t.Fatalf("session %s out of time order", s)
+				}
+			}
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 
 	"smartsra/internal/clf"
@@ -48,7 +47,7 @@ type RunOptions struct {
 	Cuts []ExpiryCut
 }
 
-// Run streams in into s through the bounded-memory clf pipeline and returns
+// Run streams in into t through the bounded-memory clf pipeline and returns
 // the malformed-line count. Lines are parsed in line-aligned chunks on
 // Config.Workers goroutines and delivered in input order through a channel
 // of depth Config.StreamDepth, so heap stays bounded by (workers + depth)
@@ -57,23 +56,15 @@ type RunOptions struct {
 // goes to PushBatch whole, or — with Config.BatchRecords == 1 — to Push
 // record by record; a Reader with BatchRecords == 1, one worker and no
 // Progress is read line by line (clf.Stream) instead, so records from an
-// interactive pipe surface as their lines arrive. The sessionizer is NOT
-// flushed: call Flush (or keep pushing) afterwards, matching live-tail use.
+// interactive pipe surface as their lines arrive. t is NOT flushed: call
+// Flush (or keep pushing) afterwards, matching live-tail use.
 //
 // The emitted sessions are byte-identical to pushing clf.ReadAll's records
-// one by one, for any workers, depth, chunk size or batch setting — the
-// golden-corpus and property harnesses pin this.
-func Run(s Sessionizer, in Input, opt RunOptions) (malformed int, err error) {
-	f := &feeder{s: s, sink: opt.Sink, count: opt.Base, cuts: opt.Cuts}
-	var cfg Config
-	switch t := s.(type) {
-	case *Tail:
-		cfg, f.pushInto = t.cfg, t.pushBatchInto
-	case *ShardedTail:
-		cfg, f.pushInto = t.cfg, t.PushBatchInto
-	default:
-		return 0, fmt.Errorf("core: Run needs a *Tail or *ShardedTail, got %T", s)
-	}
+// one by one, for any workers, depth, chunk size, batch setting or shard
+// count — the golden-corpus and property harnesses pin this.
+func Run(t *Tail, in Input, opt RunOptions) (malformed int, err error) {
+	f := &feeder{t: t, sink: opt.Sink, count: opt.Base, cuts: opt.Cuts}
+	cfg := t.cfg
 	if f.sink == nil {
 		f.sink = func([]session.Session) {}
 	}
@@ -109,12 +100,11 @@ func Run(s Sessionizer, in Input, opt RunOptions) (malformed int, err error) {
 // the live run journaled. Splitting never changes emission, because
 // PushBatch is pinned byte-identical to a record-at-a-time Push loop.
 type feeder struct {
-	s        Sessionizer
-	pushInto func([]session.Session, []clf.Record) []session.Session
-	sink     SessionSink
-	single   bool
-	count    int64
-	cuts     []ExpiryCut
+	t      *Tail
+	sink   SessionSink
+	single bool
+	count  int64
+	cuts   []ExpiryCut
 	// buf is one output buffer for the whole run: the sink must not retain
 	// the slice past the call, so each batch reuses the previous one's
 	// storage and the steady state allocates nothing per batch.
@@ -132,10 +122,10 @@ func (f *feeder) feed(recs []clf.Record) {
 		}
 		if f.single {
 			for i := range recs[:n] {
-				f.emit(f.s.Push(recs[i]))
+				f.emit(f.t.Push(recs[i]))
 			}
 		} else {
-			f.buf = f.pushInto(f.buf[:0], recs[:n])
+			f.buf = f.t.PushBatchInto(f.buf[:0], recs[:n])
 			f.emit(f.buf)
 		}
 		f.count += int64(n)
@@ -146,7 +136,7 @@ func (f *feeder) feed(recs []clf.Record) {
 // expireDue applies every cut whose boundary the record count has reached.
 func (f *feeder) expireDue() {
 	for len(f.cuts) > 0 && f.cuts[0].Records <= f.count {
-		f.emit(f.s.Expire(f.cuts[0].At))
+		f.emit(f.t.Expire(f.cuts[0].At))
 		f.cuts = f.cuts[1:]
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,8 +16,8 @@ import (
 )
 
 // Tail is the incremental counterpart of Pipeline: it consumes access-log
-// records one at a time (e.g. from a live log tail) and emits reconstructed
-// sessions as soon as they can no longer change.
+// records one at a time or in batches (e.g. from a live log tail) and emits
+// reconstructed sessions as soon as they can no longer change.
 //
 // Records are buffered per user into "activity bursts". A user's burst is
 // closed — and handed to the heuristic — when a new record arrives more
@@ -28,6 +29,17 @@ import (
 // navigation heuristics can merge across >ρ gaps in batch mode, so their
 // streamed output may split earlier (documented, covered by tests).
 //
+// Users hash onto N ≥ 1 shards (NewTail builds one, NewSessionizer any
+// number). Each shard owns its own buffer map, expiry wheel, free lists and
+// mutex, so a Tail is safe for concurrent use and concurrent feeders contend
+// only when their users land on the same shard. The cleaning filter, URI
+// resolution and user keying run in the caller's goroutine before a shard
+// lock is taken (every Config stage is a pure function, see Pipeline). A
+// user lives in exactly one shard and each user's bursts close on their own,
+// so per-user processing does not depend on the shard count; Flush and
+// Expire merge the shard outputs back into global user order, so the
+// emitted sessions are byte-identical for any shard count.
+//
 // Memory is bounded by the ACTIVE users: when Expire or Flush closes a
 // user's burst the user is evicted from the buffer map (and their burst and
 // entry storage recycled), so a long-running tail holds state only for users
@@ -37,16 +49,29 @@ import (
 // full drains), not lifetime-unique users — exact unique counting would
 // require remembering every user forever, which is the unbounded growth this
 // design removes.
-//
-// Tail is not safe for concurrent use; wrap it in a mutex if multiple
-// goroutines feed it.
 type Tail struct {
-	cfg      Config
+	cfg    Config
+	rho    time.Duration
+	shards []*shard
+	// Pre-shard stage counters are updated outside every shard lock, so
+	// they are atomic.
+	records    atomic.Int64
+	filtered   atomic.Int64
+	unresolved atomic.Int64
+}
+
+// shard is one user partition of a Tail: the open bursts of the users that
+// hash to it, their expiry wheel, free lists and deferred metrics, all
+// guarded by mu.
+type shard struct {
+	mu       sync.Mutex
 	rho      time.Duration
 	rhoNano  int64 // rho.Nanoseconds(), for the per-record integer gap check
+	heur     heuristics.Reconstructor
 	buffers  map[string]*burst
-	buffered int // entries currently held in open bursts, across all users
-	stats    Stats
+	buffered int // entries currently held in open bursts, across the shard's users
+	users    int // user activations (see Stats.Users)
+	sessions int // sessions emitted
 	// reconstructHist times Heuristic.Reconstruct per burst close, labeled
 	// by heuristic so /debug/metrics exposes one series per strategy. Timing
 	// is sampled (see reconstructSampleEvery): the count stays exact, the
@@ -56,7 +81,7 @@ type Tail struct {
 	skipCloses      int64 // closes left before the next timed reconstruct
 	untimedCloses   int64 // closes since the last timed reconstruct
 
-	// appendRec is cfg.Heuristic when it implements the allocation-lean
+	// appendRec is the heuristic when it implements the allocation-lean
 	// streaming extension, nil otherwise (closeInto then falls back to
 	// Reconstruct plus an append).
 	appendRec heuristics.SessionAppender
@@ -65,7 +90,7 @@ type Tail struct {
 	// ρ-granularity time bucket of their last activity as of insertion.
 	// Entries are lazily revalidated — a user who stayed active is moved
 	// forward to the bucket of their true last activity when their old
-	// bucket comes up — so Push never pays a bucket move and Expire visits
+	// bucket comes up — so a push never pays a bucket move and Expire visits
 	// only users whose buckets have aged past the cutoff: O(active), not
 	// O(ever seen).
 	wheel map[int64][]string
@@ -79,15 +104,13 @@ type Tail struct {
 	// Deferred mirrors of the process-wide metrics: pushResolved and close
 	// touch only these plain fields, and syncMetrics folds them into the
 	// atomic registry once per public operation (per batch, not per record).
-	pendingRecords  int64
 	pendingSessions int64
 	lastBuffered    int64
 	maxDepth        int64
 	syncedMaxDepth  int64
-	// bufferedGauge mirrors buffered for lock-free readers: ShardedTail
-	// sums it across shards so a /debug/metrics scrape never takes a shard
-	// lock. Written only under the owner's serialization (the shard lock or
-	// the single-goroutine contract).
+	// bufferedGauge mirrors buffered for lock-free readers: Buffered sums
+	// it across shards so a /debug/metrics scrape never takes a shard lock.
+	// Written only under mu.
 	bufferedGauge atomic.Int64
 }
 
@@ -120,9 +143,14 @@ type burst struct {
 	unsorted bool
 }
 
-// NewTail builds a streaming processor from the same Config as NewPipeline
-// plus the burst gap ρ (zero means the paper's 10 minutes).
+// NewTail builds a single-shard streaming processor from the same Config as
+// NewPipeline plus the burst gap ρ (zero means the paper's 10 minutes).
 func NewTail(cfg Config, rho time.Duration) (*Tail, error) {
+	return newTail(cfg, rho, 1)
+}
+
+// newTail builds a Tail with the given number of shards (≥ 1).
+func newTail(cfg Config, rho time.Duration, shards int) (*Tail, error) {
 	p, err := NewPipeline(cfg) // reuse validation and defaulting
 	if err != nil {
 		return nil, err
@@ -134,89 +162,234 @@ func NewTail(cfg Config, rho time.Duration) (*Tail, error) {
 		return nil, fmt.Errorf("core: negative burst gap %v", rho)
 	}
 	appendRec, _ := p.cfg.Heuristic.(heuristics.SessionAppender)
-	return &Tail{
-		cfg:       p.cfg,
-		rho:       rho,
-		rhoNano:   rho.Nanoseconds(),
-		appendRec: appendRec,
-		buffers:   make(map[string]*burst),
-		wheel:     make(map[int64][]string),
-		reconstructHist: metrics.GetHistogram(metrics.WithLabels(
-			"core.tail.reconstruct.seconds", "heur", p.cfg.Heuristic.Name())),
-	}, nil
+	hist := metrics.GetHistogram(metrics.WithLabels(
+		"core.tail.reconstruct.seconds", "heur", p.cfg.Heuristic.Name()))
+	t := &Tail{cfg: p.cfg, rho: rho, shards: make([]*shard, shards)}
+	for i := range t.shards {
+		t.shards[i] = &shard{
+			rho:             rho,
+			rhoNano:         rho.Nanoseconds(),
+			heur:            p.cfg.Heuristic,
+			appendRec:       appendRec,
+			buffers:         make(map[string]*burst),
+			wheel:           make(map[int64][]string),
+			reconstructHist: hist,
+		}
+	}
+	return t, nil
+}
+
+// Shards returns the shard count.
+func (t *Tail) Shards() int { return len(t.shards) }
+
+// shardFor returns the shard that owns user.
+func (t *Tail) shardFor(user string) *shard {
+	return t.shards[shardOf(user, len(t.shards))]
+}
+
+// stage runs the pre-shard stages on one record — filter, resolve, key — in
+// the caller's goroutine. A record the filter drops or the resolver does not
+// know is tallied into *filtered or *unresolved and reports ok == false.
+func (t *Tail) stage(rec *clf.Record, filtered, unresolved *int64) (user string, page webgraph.PageID, ok bool) {
+	if t.cfg.Filter != nil && !t.cfg.Filter(*rec) {
+		*filtered++
+		return "", 0, false
+	}
+	if page, ok = t.cfg.Resolver(rec.URI); !ok {
+		*unresolved++
+		return "", 0, false
+	}
+	return t.cfg.Key(*rec), page, true
+}
+
+// count adds a push's records and pre-shard drops to the stage counters.
+func (t *Tail) count(records, filtered, unresolved int64) {
+	if records != 0 {
+		t.records.Add(records)
+		metricTailRecords.Add(records)
+	}
+	if filtered != 0 {
+		t.filtered.Add(filtered)
+	}
+	if unresolved != 0 {
+		t.unresolved.Add(unresolved)
+	}
 }
 
 // Push feeds one record, returning any sessions finalized by its arrival
 // (usually none; occasionally the previous burst of the same user).
-// Malformed-record handling belongs to the caller (clf.Scanner skips them).
+// Sessions of one user are always returned to exactly one caller: the one
+// whose record closed the burst. Malformed-record handling belongs to the
+// caller (clf.Scanner skips them). Bulk feeders should prefer PushBatch,
+// which pays the lock and metrics costs once per batch.
 func (t *Tail) Push(rec clf.Record) []session.Session {
-	out := t.pushRecord(nil, rec)
-	t.syncMetrics()
+	var filtered, unresolved int64
+	user, page, ok := t.stage(&rec, &filtered, &unresolved)
+	t.count(1, filtered, unresolved)
+	if !ok {
+		return nil
+	}
+	sh := t.shardFor(user)
+	sh.mu.Lock()
+	out := sh.pushResolved(nil, user, page, rec.Time)
+	sh.syncMetrics()
+	sh.mu.Unlock()
 	return out
 }
 
-// PushBatch feeds a slice of records, returning the sessions they finalized
-// in exactly the order a record-at-a-time Push loop would have returned
-// them. It is the amortized hot path: stage counters and metrics flush once
-// per batch instead of once per record. The input slice is not retained.
-func (t *Tail) PushBatch(recs []clf.Record) []session.Session {
-	return t.pushBatchInto(nil, recs)
+// Buffered returns the number of entries currently held in open bursts —
+// the streaming processor's in-memory backlog across all users. It reads
+// each shard's atomic mirror instead of taking its lock, so an
+// observability scrape (/debug/metrics) never contends with ingestion; the
+// sum is exact whenever no push is in flight.
+func (t *Tail) Buffered() int {
+	var n int64
+	for _, sh := range t.shards {
+		n += sh.bufferedGauge.Load()
+	}
+	return int(n)
 }
 
-// pushBatchInto is PushBatch appending onto dst; the streaming ingest loop
-// passes one recycled buffer so steady-state batches allocate no output
-// slice at all (the sink contract forbids retention).
-func (t *Tail) pushBatchInto(dst []session.Session, recs []clf.Record) []session.Session {
-	for i := range recs {
-		dst = t.pushRecord(dst, recs[i])
+// ActiveUsers returns the number of users with an open burst — the working
+// set that bounds the Tail's memory after eviction.
+func (t *Tail) ActiveUsers() int {
+	n := 0
+	for _, sh := range t.shards {
+		sh.mu.Lock()
+		n += len(sh.buffers)
+		sh.mu.Unlock()
 	}
-	t.syncMetrics()
-	return dst
+	return n
 }
 
-// pushRecord is the shared Push/PushBatch body: count, filter, resolve, key,
-// buffer. Finalized sessions are appended onto dst; the caller syncs
-// metrics.
-func (t *Tail) pushRecord(dst []session.Session, rec clf.Record) []session.Session {
-	t.stats.Records++
-	t.pendingRecords++
-	if t.cfg.Filter != nil && !t.cfg.Filter(rec) {
-		t.stats.Filtered++
-		return dst
+// wheelBuckets returns the number of non-empty expiry-wheel buckets (test
+// and debugging hook: the wheel's size tracks the active window, not the
+// total users seen).
+func (t *Tail) wheelBuckets() int {
+	n := 0
+	for _, sh := range t.shards {
+		sh.mu.Lock()
+		n += len(sh.wheel)
+		sh.mu.Unlock()
 	}
-	page, ok := t.cfg.Resolver(rec.URI)
-	if !ok {
-		t.stats.Unresolved++
-		return dst
-	}
-	return t.pushResolved(dst, t.cfg.Key(rec), page, rec.Time)
+	return n
 }
 
-// pushResolved buffers one already-cleaned, already-resolved request. It is
-// the post-shard half of Push: ShardedTail runs Filter/Resolver/Key in the
-// caller's goroutine and routes here under the owning shard's lock.
-func (t *Tail) pushResolved(dst []session.Session, user string, page webgraph.PageID, at time.Time) []session.Session {
+// Expire finalizes every user whose last request is more than ρ before now,
+// returning their sessions in user order and evicting the users. Call it
+// periodically when tailing a live log so quiet users' sessions are not held
+// forever; its cost is proportional to the users whose activity buckets aged
+// past the cutoff, independent of how many users the Tail has ever seen.
+func (t *Tail) Expire(now time.Time) []session.Session {
+	return t.drain(func(sh *shard) []session.Session { return sh.expire(now) })
+}
+
+// Flush finalizes everything buffered, in user order, and evicts every user.
+// The Tail remains usable afterwards (a returning user is counted anew).
+func (t *Tail) Flush() []session.Session {
+	return t.drain((*shard).flush)
+}
+
+// drain runs f on every shard — concurrently, each under its own lock, so a
+// large Expire does not serialize behind every shard in turn and concurrent
+// pushes only wait for their own shard's slice of the work — and merges the
+// outputs into user order. Each shard's output is already sorted by user and
+// a user lives in exactly one shard, so a stable sort on user of the
+// concatenation restores the global order without disturbing each user's
+// session order. A single shard's output is returned as is.
+func (t *Tail) drain(f func(*shard) []session.Session) []session.Session {
+	if len(t.shards) == 1 {
+		return t.shards[0].drain(f)
+	}
+	parts := make([][]session.Session, len(t.shards))
+	var wg sync.WaitGroup
+	for i, sh := range t.shards {
+		wg.Add(1)
+		go func(i int, sh *shard) {
+			defer wg.Done()
+			parts[i] = sh.drain(f)
+		}(i, sh)
+	}
+	wg.Wait()
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	out := make([]session.Session, 0, n)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].User < out[j].User })
+	return out
+}
+
+// Stats returns the counters accumulated so far. Sessions counts emitted
+// sessions only; buffered requests are not yet sessions. Users counts user
+// activations: a user evicted by Expire/Flush who later returns is counted
+// again (see the Tail doc). It is exact when no push is in flight.
+func (t *Tail) Stats() Stats {
+	s := t.stageStats()
+	for _, sh := range t.shards {
+		sh.mu.Lock()
+		s.Users += sh.users
+		s.Sessions += sh.sessions
+		sh.mu.Unlock()
+	}
+	return s
+}
+
+// stageStats returns the pre-shard stage counters.
+func (t *Tail) stageStats() Stats {
+	return Stats{
+		Records:    int(t.records.Load()),
+		Filtered:   int(t.filtered.Load()),
+		Unresolved: int(t.unresolved.Load()),
+	}
+}
+
+// shardOf maps a user key to a shard index via FNV-1a (inlined to avoid the
+// hash.Hash32 allocation per record).
+func shardOf(user string, shards int) int {
+	if shards == 1 {
+		return 0 // nothing to route, skip the hash
+	}
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for i := 0; i < len(user); i++ {
+		h ^= uint32(user[i])
+		h *= prime32
+	}
+	return int(h % uint32(shards))
+}
+
+// pushResolved buffers one already-cleaned, already-resolved request — the
+// post-shard half of a push, run under the shard's lock. Finalized sessions
+// are appended onto dst; the caller syncs metrics.
+func (sh *shard) pushResolved(dst []session.Session, user string, page webgraph.PageID, at time.Time) []session.Session {
 	atN := at.UnixNano()
-	b := t.buffers[user]
+	b := sh.buffers[user]
 	out := dst
 	if b == nil {
-		b = t.newBurst()
-		t.buffers[user] = b
-		t.stats.Users++
-		t.wheelAdd(user, at)
-	} else if len(b.entries) > 0 && atN-b.lastNano > t.rhoNano {
+		b = sh.newBurst()
+		sh.buffers[user] = b
+		sh.users++
+		sh.wheelAdd(user, at)
+	} else if len(b.entries) > 0 && atN-b.lastNano > sh.rhoNano {
 		// Gap close: the user stays buffered (their next burst starts with
 		// this record), so no eviction and no wheel touch — the stale wheel
 		// entry is revalidated lazily when its bucket ages out.
-		out = t.closeInto(out, user, b)
-		b.entries = t.newEntrySlice()
+		out = sh.closeInto(out, user, b)
+		b.entries = sh.newEntrySlice()
 	} else if atN < b.lastNano {
 		b.unsorted = true
 	}
 	b.entries = append(b.entries, session.Entry{Page: page, Time: at})
-	t.buffered++
-	if n := int64(len(b.entries)); n > t.maxDepth {
-		t.maxDepth = n
+	sh.buffered++
+	if n := int64(len(b.entries)); n > sh.maxDepth {
+		sh.maxDepth = n
 	}
 	if atN > b.lastNano {
 		b.last = at
@@ -225,39 +398,24 @@ func (t *Tail) pushResolved(dst []session.Session, user string, page webgraph.Pa
 	return out
 }
 
-// Buffered returns the number of entries currently held in open bursts —
-// the streaming processor's in-memory backlog across all users.
-func (t *Tail) Buffered() int { return t.buffered }
-
-// ActiveUsers returns the number of users with an open burst — the working
-// set that bounds the Tail's memory after eviction.
-func (t *Tail) ActiveUsers() int { return len(t.buffers) }
-
-// wheelBuckets returns the number of non-empty expiry-wheel buckets (test
-// and debugging hook: the wheel's size tracks the active window, not the
-// total users seen).
-func (t *Tail) wheelBuckets() int { return len(t.wheel) }
-
-// Expire finalizes every user whose last request is more than ρ before now,
-// returning their sessions and evicting the users. Call it periodically when
-// tailing a live log so quiet users' sessions are not held forever; its cost
-// is proportional to the users whose activity buckets aged past the cutoff,
-// independent of how many users the Tail has ever seen.
-func (t *Tail) Expire(now time.Time) []session.Session {
-	out := t.expireLocked(now)
-	t.syncMetrics()
+// drain runs f under the shard's lock and syncs the metrics it moved.
+func (sh *shard) drain(f func(*shard) []session.Session) []session.Session {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	out := f(sh)
+	sh.syncMetrics()
 	return out
 }
 
-// expireLocked is Expire without the metrics sync (ShardedTail syncs once
-// per shard drain).
-func (t *Tail) expireLocked(now time.Time) []session.Session {
-	if len(t.wheel) == 0 {
+// expire closes and evicts the shard's users quiet for more than ρ before
+// now, in user order.
+func (sh *shard) expire(now time.Time) []session.Session {
+	if len(sh.wheel) == 0 {
 		return nil
 	}
-	cutBucket := t.bucketOf(now.Add(-t.rho))
+	cutBucket := sh.bucketOf(now.Add(-sh.rho))
 	var aged []int64
-	for bk := range t.wheel {
+	for bk := range sh.wheel {
 		if bk <= cutBucket {
 			aged = append(aged, bk)
 		}
@@ -268,19 +426,19 @@ func (t *Tail) expireLocked(now time.Time) []session.Session {
 	sort.Slice(aged, func(i, j int) bool { return aged[i] < aged[j] })
 	var users []string
 	for _, bk := range aged {
-		bucket := t.wheel[bk]
-		delete(t.wheel, bk)
+		bucket := sh.wheel[bk]
+		delete(sh.wheel, bk)
 		for _, u := range bucket {
-			b := t.buffers[u]
+			b := sh.buffers[u]
 			if b == nil || len(b.entries) == 0 {
 				continue // evicted since insertion; stale entry, drop it
 			}
-			if now.Sub(b.last) > t.rho {
+			if now.Sub(b.last) > sh.rho {
 				users = append(users, u)
 			} else {
 				// Still active: move forward to the bucket of the true last
 				// activity (the lazy half of the wheel's bookkeeping).
-				t.wheelAdd(u, b.last)
+				sh.wheelAdd(u, b.last)
 			}
 		}
 	}
@@ -288,25 +446,17 @@ func (t *Tail) expireLocked(now time.Time) []session.Session {
 	sort.Strings(users)
 	var out []session.Session
 	for _, u := range users {
-		b := t.buffers[u]
-		out = t.closeInto(out, u, b)
-		t.evict(u, b)
+		b := sh.buffers[u]
+		out = sh.closeInto(out, u, b)
+		sh.evict(u, b)
 	}
 	return out
 }
 
-// Flush finalizes everything buffered, in user order, and evicts every user.
-// The Tail remains usable afterwards (a returning user is counted anew).
-func (t *Tail) Flush() []session.Session {
-	out := t.flushLocked()
-	t.syncMetrics()
-	return out
-}
-
-// flushLocked is Flush without the metrics sync.
-func (t *Tail) flushLocked() []session.Session {
-	users := make([]string, 0, len(t.buffers))
-	for u, b := range t.buffers {
+// flush closes and evicts every user of the shard, in user order.
+func (sh *shard) flush() []session.Session {
+	users := make([]string, 0, len(sh.buffers))
+	for u, b := range sh.buffers {
 		if len(b.entries) > 0 {
 			users = append(users, u)
 		}
@@ -316,28 +466,22 @@ func (t *Tail) flushLocked() []session.Session {
 	// absorbs the bulk of the append growth in a full drain.
 	out := make([]session.Session, 0, len(users))
 	for _, u := range users {
-		b := t.buffers[u]
-		out = t.closeInto(out, u, b)
-		t.evict(u, b)
+		b := sh.buffers[u]
+		out = sh.closeInto(out, u, b)
+		sh.evict(u, b)
 	}
-	clear(t.wheel)
+	clear(sh.wheel)
 	return out
 }
 
-// Stats returns the counters accumulated so far. Sessions counts emitted
-// sessions only; buffered requests are not yet sessions. Users counts user
-// activations: a user evicted by Expire/Flush who later returns is counted
-// again (see the Tail doc).
-func (t *Tail) Stats() Stats { return t.stats }
-
-// close runs the heuristic on a burst and takes ownership of its entries
+// closeInto runs the heuristic on a burst and takes ownership of its entries
 // (recycling them afterwards — no heuristic retains the input slice; see
 // heuristics.Reconstructor). The burst is left empty; the caller decides
 // whether to evict it or hand it a fresh entry slice.
-func (t *Tail) closeInto(dst []session.Session, user string, b *burst) []session.Session {
+func (sh *shard) closeInto(dst []session.Session, user string, b *burst) []session.Session {
 	entries := b.entries
 	b.entries = nil
-	t.buffered -= len(entries)
+	sh.buffered -= len(entries)
 	// Out-of-order arrivals within the burst (merged proxy logs, clock
 	// skew) are sorted here; cross-burst reordering beyond ρ is a log
 	// defect the caller owns. Logs are overwhelmingly in order, and
@@ -350,60 +494,60 @@ func (t *Tail) closeInto(dst []session.Session, user string, b *burst) []session
 		b.unsorted = false
 	}
 	from := len(dst)
-	if t.skipCloses == 0 {
+	if sh.skipCloses == 0 {
 		start := time.Now()
-		dst = t.reconstructInto(dst, user, entries)
-		t.reconstructHist.ObserveWeighted(time.Since(start).Seconds(), 1+t.untimedCloses)
-		t.untimedCloses = 0
-		t.skipCloses = reconstructSampleEvery - 1
+		dst = sh.reconstructInto(dst, user, entries)
+		sh.reconstructHist.ObserveWeighted(time.Since(start).Seconds(), 1+sh.untimedCloses)
+		sh.untimedCloses = 0
+		sh.skipCloses = reconstructSampleEvery - 1
 	} else {
-		dst = t.reconstructInto(dst, user, entries)
-		t.skipCloses--
-		t.untimedCloses++
+		dst = sh.reconstructInto(dst, user, entries)
+		sh.skipCloses--
+		sh.untimedCloses++
 	}
 	n := len(dst) - from
-	t.stats.Sessions += n
-	t.pendingSessions += int64(n)
-	t.recycleEntries(entries)
+	sh.sessions += n
+	sh.pendingSessions += int64(n)
+	sh.recycleEntries(entries)
 	return dst
 }
 
 // reconstructInto runs the heuristic over one closed burst, appending its
 // sessions onto dst — directly when the heuristic supports it, via the
 // Reconstruct slice otherwise.
-func (t *Tail) reconstructInto(dst []session.Session, user string, entries []session.Entry) []session.Session {
-	if t.appendRec != nil {
-		return t.appendRec.AppendSessions(dst, session.Stream{User: user, Entries: entries})
+func (sh *shard) reconstructInto(dst []session.Session, user string, entries []session.Entry) []session.Session {
+	if sh.appendRec != nil {
+		return sh.appendRec.AppendSessions(dst, session.Stream{User: user, Entries: entries})
 	}
-	return append(dst, t.cfg.Heuristic.Reconstruct(session.Stream{User: user, Entries: entries})...)
+	return append(dst, sh.heur.Reconstruct(session.Stream{User: user, Entries: entries})...)
 }
 
 // evict removes a closed user from the buffer map and recycles the burst
 // header. The user's wheel entry (if any) is dropped lazily when its bucket
 // ages out.
-func (t *Tail) evict(user string, b *burst) {
-	delete(t.buffers, user)
-	if len(t.freeBursts) < maxFreeBursts {
+func (sh *shard) evict(user string, b *burst) {
+	delete(sh.buffers, user)
+	if len(sh.freeBursts) < maxFreeBursts {
 		b.entries = nil
 		b.last = time.Time{}
 		b.lastNano = math.MinInt64
 		b.unsorted = false
-		t.freeBursts = append(t.freeBursts, b)
+		sh.freeBursts = append(sh.freeBursts, b)
 	}
 }
 
 // newBurst returns a zeroed burst header, recycled when possible, seeded
 // with a recycled entry array.
-func (t *Tail) newBurst() *burst {
+func (sh *shard) newBurst() *burst {
 	var b *burst
-	if n := len(t.freeBursts); n > 0 {
-		b = t.freeBursts[n-1]
-		t.freeBursts[n-1] = nil
-		t.freeBursts = t.freeBursts[:n-1]
+	if n := len(sh.freeBursts); n > 0 {
+		b = sh.freeBursts[n-1]
+		sh.freeBursts[n-1] = nil
+		sh.freeBursts = sh.freeBursts[:n-1]
 	} else {
 		b = &burst{}
 	}
-	b.entries = t.newEntrySlice()
+	b.entries = sh.newEntrySlice()
 	b.lastNano = math.MinInt64
 	b.unsorted = false
 	return b
@@ -411,11 +555,11 @@ func (t *Tail) newBurst() *burst {
 
 // newEntrySlice pops a recycled entry backing array (len 0), or allocates a
 // fresh one at a typical burst's capacity.
-func (t *Tail) newEntrySlice() []session.Entry {
-	if n := len(t.freeEntries); n > 0 {
-		s := t.freeEntries[n-1]
-		t.freeEntries[n-1] = nil
-		t.freeEntries = t.freeEntries[:n-1]
+func (sh *shard) newEntrySlice() []session.Entry {
+	if n := len(sh.freeEntries); n > 0 {
+		s := sh.freeEntries[n-1]
+		sh.freeEntries[n-1] = nil
+		sh.freeEntries = sh.freeEntries[:n-1]
 		return s
 	}
 	// Nothing to recycle: start at a typical burst's size so the common
@@ -426,24 +570,24 @@ func (t *Tail) newEntrySlice() []session.Entry {
 // recycleEntries returns a closed burst's backing array to the free list.
 // Safe because no Reconstructor retains the input entries (they copy what
 // they keep), and Snapshot deep-copies — pinned by tests.
-func (t *Tail) recycleEntries(s []session.Entry) {
-	if cap(s) == 0 || cap(s) > maxRecycledCap || len(t.freeEntries) >= maxFreeEntries {
+func (sh *shard) recycleEntries(s []session.Entry) {
+	if cap(s) == 0 || cap(s) > maxRecycledCap || len(sh.freeEntries) >= maxFreeEntries {
 		return
 	}
-	t.freeEntries = append(t.freeEntries, s[:0])
+	sh.freeEntries = append(sh.freeEntries, s[:0])
 }
 
 // wheelAdd inserts user into the expiry-wheel bucket covering at.
-func (t *Tail) wheelAdd(user string, at time.Time) {
-	bk := t.bucketOf(at)
-	t.wheel[bk] = append(t.wheel[bk], user)
+func (sh *shard) wheelAdd(user string, at time.Time) {
+	bk := sh.bucketOf(at)
+	sh.wheel[bk] = append(sh.wheel[bk], user)
 }
 
 // bucketOf maps a timestamp to its ρ-width wheel bucket (floor division, so
 // pre-epoch timestamps bucket consistently too).
-func (t *Tail) bucketOf(at time.Time) int64 {
+func (sh *shard) bucketOf(at time.Time) int64 {
 	ns := at.UnixNano()
-	w := int64(t.rho)
+	w := int64(sh.rho)
 	bk := ns / w
 	if ns < 0 && ns%w != 0 {
 		bk--
@@ -454,23 +598,19 @@ func (t *Tail) bucketOf(at time.Time) int64 {
 // syncMetrics folds the deferred per-operation deltas into the process-wide
 // atomic metrics — one flush per public operation instead of 3–4 atomic ops
 // per record.
-func (t *Tail) syncMetrics() {
-	if t.pendingRecords != 0 {
-		metricTailRecords.Add(t.pendingRecords)
-		t.pendingRecords = 0
-	}
-	if d := int64(t.buffered) - t.lastBuffered; d != 0 {
+func (sh *shard) syncMetrics() {
+	if d := int64(sh.buffered) - sh.lastBuffered; d != 0 {
 		metricTailBuffered.Add(d)
-		t.bufferedGauge.Add(d)
-		t.lastBuffered = int64(t.buffered)
+		sh.bufferedGauge.Add(d)
+		sh.lastBuffered = int64(sh.buffered)
 	}
-	if t.maxDepth > t.syncedMaxDepth {
-		metricTailMaxDepth.SetMax(t.maxDepth)
-		t.syncedMaxDepth = t.maxDepth
+	if sh.maxDepth > sh.syncedMaxDepth {
+		metricTailMaxDepth.SetMax(sh.maxDepth)
+		sh.syncedMaxDepth = sh.maxDepth
 	}
-	if t.pendingSessions != 0 {
-		metricTailSessions.Add(t.pendingSessions)
-		t.pendingSessions = 0
+	if sh.pendingSessions != 0 {
+		metricTailSessions.Add(sh.pendingSessions)
+		sh.pendingSessions = 0
 	}
 }
 

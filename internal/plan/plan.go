@@ -2,8 +2,8 @@
 // knobs — parse workers, sessionizer shards, stream depth, chunk bytes —
 // from the machine (GOMAXPROCS), the input (size and kind), and an optional
 // observed-throughput calibration probe, and falls back to one parse worker
-// and a single Tail whenever parallelism cannot win. core.Run executes the
-// plan: one parse worker reads files through clf.StreamFilesChunked's
+// and a single-shard Tail whenever parallelism cannot win. core.Run executes
+// the plan: one parse worker reads files through clf.StreamFilesChunked's
 // inline chunk loop, and pipes (Batch 1) through the line-at-a-time
 // clf.Stream.
 //
@@ -111,8 +111,8 @@ type Plan struct {
 	// Workers is the parse-stage goroutine count; 1 means the sequential
 	// scanner.
 	Workers int
-	// Shards is the sessionizer shard count; 1 means a single Tail's worth
-	// of state (use a lock-striped ShardedTail only when feeders contend).
+	// Shards is the sessionizer's user shard count: each shard has its own
+	// lock, so more than 1 pays only when concurrent feeders contend.
 	Shards int
 	// StreamDepth is the in-order delivery channel depth for the parallel
 	// reader (inert when Workers == 1).

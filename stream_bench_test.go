@@ -13,8 +13,8 @@ import (
 // BenchmarkStreamIngest measures the bounded-memory streaming path:
 // sequential Stream vs the chunk-parallel StreamChunked reader (whose
 // intern arena is what pushes allocs/record toward zero), and the
-// end-to-end pipeline — core.Run feeding a ShardedTail from the chunked
-// reader — that cmd/sessionize -stream and cmd/serve -backfill run. The
+// end-to-end pipeline — core.Run feeding a per-core-sharded Tail from the
+// chunked reader — that cmd/sessionize -stream and cmd/serve -backfill run. The
 // records/s metric is the headline; output equivalence with the batch
 // readers is pinned by TestGoldenCorpusStream and FuzzStreamChunks.
 func BenchmarkStreamIngest(b *testing.B) {
@@ -47,7 +47,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			st, err := core.NewShardedTail(core.Config{Graph: g, Workers: -1}, 0, 0)
+			st, err := core.NewSessionizer(core.Config{Graph: g, Workers: -1}, 0, 0, true)
 			if err != nil {
 				b.Fatal(err)
 			}
