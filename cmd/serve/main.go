@@ -63,9 +63,11 @@
 // truncates the session file to the recorded offset, and replays the
 // access log from the recorded offset — sessions across a crash are
 // emitted exactly once. A corrupt or stale checkpoint is detected and
-// recovery falls back to a full replay of the access log. -checkpoint
-// needs -log and -sessions (the offsets refer to those files) and replaces
-// -backfill (recovery replays the log anyway).
+// recovery falls back to a full replay of the access log. Restore and
+// truncation are checkpoint.Recover, the same recovery path cmd/sessionize
+// -checkpoint uses, and the session file is a checkpoint.SessionFile in
+// both. -checkpoint needs -log and -sessions (the offsets refer to those
+// files) and replaces -backfill (recovery replays the log anyway).
 //
 // -backfill streams an existing access log through the same sessionizer
 // before serving begins, so the live tail starts with history already in
@@ -294,15 +296,13 @@ func run(o options) error {
 			fmt.Fprintln(os.Stderr, "serve:", n)
 		}
 		fmt.Fprintln(os.Stderr, "serve: plan:", pl)
-		st, err := core.NewSessionizer(core.Config{Graph: g}.WithPlan(pl), o.sessionGap, pl.Shards, true)
-		if err != nil {
+		if s.st, err = core.NewSessionizer(core.Config{Graph: g}.WithPlan(pl), o.sessionGap, pl.Shards, true); err != nil {
 			return err
 		}
-		sf, err := os.OpenFile(o.sessPath, os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
+		if s.out, err = checkpoint.OpenSessionFile(o.sessPath); err != nil {
 			return err
 		}
-		defer sf.Close()
+		defer s.out.Close()
 		// O_RDWR (not append-only) so the RetrySink can re-ingest and
 		// truncate the journal once the session file recovers.
 		dl, err := os.OpenFile(o.sessPath+".deadletter", os.O_CREATE|os.O_RDWR, 0o644)
@@ -310,10 +310,13 @@ func run(o options) error {
 			return err
 		}
 		defer dl.Close()
-		s.tee, err = newSessionTee(st, sf, dl)
-		if err != nil {
+		s.sessions = core.NewRetrySink(func(batch []session.Session) error {
+			err := s.out.WriteBatch(batch)
+			if err != nil {
+				metricSessionWriteErrors.Inc()
+			}
 			return err
-		}
+		}, core.RetryOptions{DeadLetter: dl})
 
 		if o.shedMode == shed503 {
 			// Journal timed-expiry cuts beside the session file: in 503 mode
@@ -342,7 +345,7 @@ func run(o options) error {
 				return err
 			}
 		} else if o.backfill != "" {
-			if err := s.tee.backfill(replayPaths); err != nil {
+			if err := s.backfill(replayPaths); err != nil {
 				return err
 			}
 		}
@@ -352,7 +355,7 @@ func run(o options) error {
 	// sessionizer: one drainer goroutine batches queued records into the
 	// tail and the session sink, outside every server lock.
 	var drained sync.WaitGroup
-	if s.tee != nil {
+	if s.st != nil {
 		s.queue = newIngestQueue(o.queueCap)
 		drained.Add(1)
 		go func() {
@@ -394,9 +397,9 @@ func run(o options) error {
 	fmt.Printf("serve: listening on %s\n", ln.Addr())
 	fmt.Printf("serving %s on %s (log: %s, format: %s, metrics: /debug/metrics)\n",
 		g, ln.Addr(), orStderr(o.logPath), format(o.combined))
-	if s.tee != nil {
+	if s.st != nil {
 		fmt.Printf("sessionizing live to %s (%d shards, expire every %v)\n",
-			o.sessPath, s.tee.st.Shards(), o.expireEvery)
+			o.sessPath, s.st.Shards(), o.expireEvery)
 	}
 	if s.queue != nil {
 		fmt.Printf("ingest queue: %d records, shed mode %s\n", o.queueCap, o.shedMode)
@@ -409,7 +412,7 @@ func run(o options) error {
 	// flush, so a late Expire or checkpoint can never interleave with it.
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	if s.tee != nil && o.expireEvery > 0 {
+	if s.st != nil && o.expireEvery > 0 {
 		wg.Add(1)
 		go s.expireLoop(o.expireEvery, done, &wg)
 	}
@@ -488,8 +491,8 @@ func run(o options) error {
 		}
 		close(done)
 		wg.Wait()
-		if s.tee != nil {
-			s.tee.emit(s.tee.st.Flush())
+		if s.st != nil {
+			s.sessions.Emit(s.st.Flush())
 		}
 		if s.ckpt != nil && settled {
 			s.mu.Lock()
@@ -515,8 +518,8 @@ const drainBatchMax = 256
 // concurrently), so a checkpoint holding the exclusive lock can wait on the
 // queue barrier while the drainer keeps making progress.
 func (s *server) drainRecords(recs []clf.Record) {
-	s.drainBuf = s.tee.st.PushBatchInto(s.drainBuf[:0], recs)
-	s.tee.emit(s.drainBuf)
+	s.drainBuf = s.st.PushBatchInto(s.drainBuf[:0], recs)
+	s.sessions.Emit(s.drainBuf)
 }
 
 // shedGate admits a request only if the ingest queue has a free slot,
@@ -564,8 +567,14 @@ type server struct {
 	logCount *countingFile // counts log bytes for drop spans; nil on stderr
 	sink     *webserver.WriterSink
 
+	// Without -sessions these three are nil. st is the live sessionizer;
+	// sessions appends what it finalizes to out through a RetrySink:
+	// transient write failures back off and retry, persistent ones are
+	// journaled to the dead-letter file, and every outcome is counted.
 	sessPath string
-	tee      *sessionTee // nil without -sessions
+	st       *core.Tail
+	out      *checkpoint.SessionFile
+	sessions *core.RetrySink
 
 	// drops is the drop-count reconciliation ledger; nil outside
 	// {-shed-mode drop-count, -log, -sessions}.
@@ -602,50 +611,34 @@ func newLogWriter(out io.Writer, combined bool) *clf.Writer {
 }
 
 // recoverFromCheckpoint brings the sessionizer back to a state consistent
-// with the access log: restore the latest valid snapshot, truncate the
-// session file to the recorded offset (dropping the crashed run's
-// post-checkpoint writes the replay will re-emit), and replay the log from
-// the recorded offset. A missing, corrupt, or stale checkpoint degrades to
-// a full replay from offset zero — never to loading bad state.
+// with the access log. checkpoint.Recover does the part every recoverable
+// run shares — validate the latest snapshot against the log and the session
+// file, restore it, cut the session file back to the recorded offset — and
+// the log is replayed from the recorded offset. A missing, corrupt, or stale
+// checkpoint degrades to a full replay from offset zero, never to loading
+// bad state. What is serve's own: the torn-line repair of the log, the cut
+// journal, and the drop ledger.
 func (s *server) recoverFromCheckpoint() error {
 	ck, reason, err := checkpoint.Resume(checkpoint.OS, s.ckpt.Path())
 	if err != nil {
 		return err
 	}
-	if reason != "" {
-		fmt.Fprintln(os.Stderr, "serve: checkpoint unusable, replaying full log:", reason)
-	}
 	if err := s.repairLogTail(); err != nil {
 		return err
 	}
+	start, base, why, err := checkpoint.Recover(ck, []string{s.logPath}, s.out, s.st)
+	if err != nil {
+		return err
+	}
+	if why != "" {
+		reason = why
+	}
+	if reason != "" {
+		fmt.Fprintln(os.Stderr, "serve: checkpoint unusable, replaying full log:", reason)
+	}
+	restored := ck != nil && reason == ""
 	logInfo, err := s.logFile.Stat()
 	if err != nil {
-		return err
-	}
-	sessInfo, err := s.tee.f.Stat()
-	if err != nil {
-		return err
-	}
-	var logOff, sinkOff int64
-	restored := false
-	if ck != nil {
-		switch {
-		case ck.LogPath != "" && ck.LogPath != s.logPath:
-			fmt.Fprintf(os.Stderr, "serve: checkpoint was for %s, -log is %s, replaying full log\n",
-				ck.LogPath, s.logPath)
-		case ck.LogOffset > logInfo.Size() || ck.SinkOffset > sessInfo.Size():
-			fmt.Fprintf(os.Stderr, "serve: checkpoint is ahead of %s/%s (rotated?), replaying full log\n",
-				s.logPath, s.sessPath)
-		default:
-			if err := s.tee.st.Restore(ck.Tail); err != nil {
-				fmt.Fprintln(os.Stderr, "serve: checkpoint rejected, replaying full log:", err)
-			} else {
-				logOff, sinkOff = ck.LogOffset, ck.SinkOffset
-				restored = true
-			}
-		}
-	}
-	if err := s.tee.resetTo(sinkOff); err != nil {
 		return err
 	}
 
@@ -692,7 +685,7 @@ func (s *server) recoverFromCheckpoint() error {
 		}
 	}
 	if s.drops != nil && restored {
-		s.drops.restore(ck.DropSpans, logOff)
+		s.drops.restore(ck.DropSpans, start.Offset)
 	}
 
 	// Replay through the zero-copy source reader (mmap for the on-disk
@@ -701,10 +694,6 @@ func (s *server) recoverFromCheckpoint() error {
 	// checkpoints are skipped — a snapshot taken between cuts cannot yet
 	// say how many of them it contains — so that (rare) recovery shape
 	// restarts from the previous checkpoint if interrupted.
-	base := int64(0)
-	if restored {
-		base = int64(ck.Tail.Stats.Records)
-	}
 	progress := func(pos clf.FilePos) error {
 		s.ckpt.MaybeSave(func() *checkpoint.Checkpoint {
 			return s.buildCheckpoint(pos.Offset)
@@ -714,17 +703,17 @@ func (s *server) recoverFromCheckpoint() error {
 	if len(pendingCuts) > 0 {
 		progress = nil
 	}
-	malformed, err := core.Run(s.tee.st, core.Input{Paths: []string{s.logPath}, Start: clf.FilePos{Offset: logOff}},
-		core.RunOptions{Sink: s.tee.emit, Progress: progress, Base: base, Cuts: pendingCuts})
+	malformed, err := core.Run(s.st, core.Input{Paths: []string{s.logPath}, Start: start},
+		core.RunOptions{Sink: s.sessions.Emit, Progress: progress, Base: base, Cuts: pendingCuts})
 	if err != nil {
 		return fmt.Errorf("replay %s: %w", s.logPath, err)
 	}
 	if err := s.ckpt.Save(s.buildCheckpoint(logInfo.Size())); err != nil {
 		fmt.Fprintln(os.Stderr, "serve: checkpoint:", err)
 	}
-	stats := s.tee.st.Stats()
+	stats := s.st.Stats()
 	fmt.Printf("recovered from %s: replayed %d bytes of %s (records=%d malformed=%d sessions=%d)\n",
-		s.ckpt.Path(), logInfo.Size()-logOff, s.logPath, stats.Records, malformed, stats.Sessions)
+		s.ckpt.Path(), logInfo.Size()-start.Offset, s.logPath, stats.Records, malformed, stats.Sessions)
 	return nil
 }
 
@@ -760,7 +749,7 @@ func (s *server) repairLogTail() error {
 // recovery), so the session-file sync, the offset, and the snapshot are one
 // consistent cut.
 func (s *server) buildCheckpoint(logOff int64) *checkpoint.Checkpoint {
-	sinkOff, err := s.tee.syncSize()
+	sinkOff, err := s.out.Sync()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve: session file sync:", err)
 	}
@@ -768,7 +757,7 @@ func (s *server) buildCheckpoint(logOff int64) *checkpoint.Checkpoint {
 		LogOffset:  logOff,
 		LogPath:    s.logPath,
 		SinkOffset: sinkOff,
-		Tail:       s.tee.st.Snapshot(),
+		Tail:       s.st.Snapshot(),
 		CutSeq:     s.cutSeq,
 	}
 	if s.drops != nil {
@@ -851,12 +840,12 @@ func (s *server) expireLoop(every time.Duration, done chan struct{}, wg *sync.Wa
 				s.queue.barrier()
 			}
 			now := time.Now()
-			out := s.tee.st.Expire(now)
+			out := s.st.Expire(now)
 			if len(out) > 0 {
-				s.tee.emit(out)
+				s.sessions.Emit(out)
 				if s.cutsFile != nil {
 					s.cutSeq++
-					cut := core.ExpiryCut{Seq: s.cutSeq, Records: int64(s.tee.st.Stats().Records), At: now}
+					cut := core.ExpiryCut{Seq: s.cutSeq, Records: int64(s.st.Stats().Records), At: now}
 					if err := core.AppendCut(s.cutsFile, cut); err != nil {
 						fmt.Fprintln(os.Stderr, "serve: cut journal:", err)
 					}
@@ -911,8 +900,8 @@ func (s *server) rotate() {
 			}
 		}
 	}
-	if s.tee != nil {
-		if err := s.tee.rotate(s.sessPath); err != nil {
+	if s.out != nil {
+		if err := s.out.Reopen(s.sessPath); err != nil {
 			fmt.Fprintln(os.Stderr, "serve: reopen sessions:", err)
 		}
 	}
@@ -923,121 +912,17 @@ func (s *server) rotate() {
 	}
 }
 
-// sessionTee pushes every logged record into a Tail and appends
-// finalized sessions to a file through a RetrySink: transient write
-// failures back off and retry, persistent ones are journaled to the
-// dead-letter file, and every outcome is counted. The file is managed by
-// known-good offset — before each attempt the file is truncated back to the
-// last complete batch, so a torn write from a failed attempt is healed by
-// its own retry instead of corrupting the file.
-type sessionTee struct {
-	st   *core.Tail
-	sink *core.RetrySink
-
-	mu   sync.Mutex
-	f    *os.File
-	good int64 // session-file bytes known to hold only complete batches
-}
-
-func newSessionTee(st *core.Tail, f *os.File, deadLetter io.Writer) (*sessionTee, error) {
-	info, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	t := &sessionTee{st: st, f: f, good: info.Size()}
-	t.sink = core.NewRetrySink(t.writeBatch, core.RetryOptions{DeadLetter: deadLetter})
-	return t, nil
-}
-
-// emit appends finalized sessions to the sessions file, with retries.
-func (t *sessionTee) emit(sessions []session.Session) { t.sink.Emit(sessions) }
-
-// writeBatch is the RetrySink's write function: one batch, atomic at the
-// known-good offset.
-func (t *sessionTee) writeBatch(batch []session.Session) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	err := func() error {
-		if err := t.f.Truncate(t.good); err != nil {
-			return err
-		}
-		if _, err := t.f.Seek(t.good, io.SeekStart); err != nil {
-			return err
-		}
-		if err := session.WriteAll(t.f, batch); err != nil {
-			return err
-		}
-		off, err := t.f.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return err
-		}
-		t.good = off
-		return nil
-	}()
-	if err != nil {
-		metricSessionWriteErrors.Inc()
-	}
-	return err
-}
-
-// resetTo truncates the session file to off (recovery: discard everything
-// the replay will re-emit).
-func (t *sessionTee) resetTo(off int64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.f.Truncate(off); err != nil {
-		return err
-	}
-	if _, err := t.f.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
-	t.good = off
-	return nil
-}
-
-// syncSize flushes the session file to stable storage and returns its
-// known-good size — the SinkOffset a checkpoint records.
-func (t *sessionTee) syncSize() (int64, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.good, t.f.Sync()
-}
-
-// rotate reopens the session file at path (SIGHUP). Caller holds the
-// server's exclusive lock, so no emit is in flight.
-func (t *sessionTee) rotate(path string) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := f.Seek(info.Size(), io.SeekStart); err != nil {
-		f.Close()
-		return err
-	}
-	t.mu.Lock()
-	old := t.f
-	t.f = f
-	t.good = info.Size()
-	t.mu.Unlock()
-	return old.Close()
-}
-
 // backfill streams an existing access log set — plain, gzip, or a rotated
 // sequence — through the sessionizer before the server starts, in bounded
 // heap regardless of the logs' size. Bursts still open at the end of the
 // history stay buffered so live traffic from the same users continues them
 // seamlessly.
-func (t *sessionTee) backfill(paths []string) error {
-	malformed, err := core.Run(t.st, core.Input{Paths: paths}, core.RunOptions{Sink: t.emit})
+func (s *server) backfill(paths []string) error {
+	malformed, err := core.Run(s.st, core.Input{Paths: paths}, core.RunOptions{Sink: s.sessions.Emit})
 	if err != nil {
 		return fmt.Errorf("backfill %s: %w", strings.Join(paths, ","), err)
 	}
-	stats := t.st.Stats()
+	stats := s.st.Stats()
 	fmt.Printf("backfilled %s: records=%d malformed=%d sessions=%d (open bursts carry into live traffic)\n",
 		strings.Join(paths, ","), stats.Records, malformed, stats.Sessions)
 	return nil

@@ -44,9 +44,16 @@
 // byte-identical to an uninterrupted run. It needs -stream, -sessions (a
 // truncatable output file instead of stdout), and a real -log file (the
 // resume offset seeks into it, so stdin won't do). A corrupt or truncated
-// checkpoint is detected and the run falls back to a full replay. Periodic
-// expiry composes with it: expired sessions go through the same offset
-// bookkeeping, so checkpoints always describe a consistent cut.
+// checkpoint is detected and the run falls back to a full replay, as is a
+// stale one (the input set was rotated or renamed, or the log or session
+// file is shorter than the checkpoint says). It is the same streaming run
+// with two additions: checkpoint.Recover — the one recovery path, shared
+// with cmd/serve — validates and restores the snapshot and cuts the session
+// file back before ingestion starts, and a progress callback snapshots at
+// chunk boundaries. Sessions reach the file through checkpoint.SessionFile,
+// whose known-good size is the offset each snapshot records. Periodic
+// expiry composes with it: expired sessions go through the same writer
+// under the same lock, so checkpoints always describe a consistent cut.
 //
 // -cuts replays a live serve run that used -expire-every: serve journals
 // every timed expiry as an exact record boundary into <sessions>.cuts, and
@@ -236,10 +243,7 @@ func run(o options) error {
 			}
 			fmt.Fprintf(os.Stderr, "sessionize: replaying %d expiry cuts from %s\n", len(cuts), o.cutsPath)
 		}
-		if o.ckptPath != "" {
-			return runStreamCheckpointed(cfg, pl, o.sessionGap, expire, paths, o.sessPath, o.ckptPath, o.ckptEvery)
-		}
-		return runStream(cfg, pl, o.sessionGap, expire, paths, o.statsOnly, o.sessPath, cuts)
+		return runStream(cfg, pl, o, expire, paths, cuts)
 	}
 	pipeline, err := core.NewPipeline(cfg)
 	if err != nil {
@@ -307,32 +311,97 @@ func startExpireLoop(every time.Duration, tick func(time.Time)) (stop func()) {
 // journaled timed expiries at the exact record boundaries the live run froze
 // them at, making the output byte-identical to the live session stream even
 // when the server ran with -expire-every.
-func runStream(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths []string, statsOnly bool, sessPath string, cuts []core.ExpiryCut) error {
+//
+// -sessions output goes through checkpoint.SessionFile. -checkpoint adds
+// checkpoint.Recover before the run, a progress callback that snapshots at
+// chunk boundaries with (file index, byte offset) positions, and a final
+// snapshot, so a rerun of a finished run replays nothing.
+func runStream(cfg core.Config, pl plan.Plan, o options, expire time.Duration, paths []string, cuts []core.ExpiryCut) error {
 	// Every Tail is safe for concurrent use. Cut replay applies Expire
 	// inline in the delivery goroutine; only the wall-clock sweep drains
 	// concurrently, so only it lets an unplanned shard count take all cores.
-	st, err := core.NewSessionizer(cfg, rho, pl.Shards, expire > 0)
+	st, err := core.NewSessionizer(cfg, o.sessionGap, pl.Shards, expire > 0)
 	if err != nil {
 		return err
 	}
-	dst := os.Stdout
-	if sessPath != "" {
-		dst, err = os.Create(sessPath)
+	stdout := bufio.NewWriter(os.Stdout)
+	write := func(s []session.Session) error { return session.WriteAll(stdout, s) }
+	var out *checkpoint.SessionFile
+	if o.sessPath != "" {
+		if out, err = checkpoint.OpenSessionFile(o.sessPath); err != nil {
+			return err
+		}
+		defer out.Close()
+		write = out.WriteBatch
+	}
+	// mu serializes writes: the expire sweep races core.Run's emits. The
+	// progress callback holds it too, so every checkpoint records a
+	// consistent (log position, session offset, open bursts) cut even while
+	// expiry is emitting.
+	var (
+		mu       sync.Mutex
+		cur      clf.FilePos // guarded by mu
+		base     int64
+		ckw      *checkpoint.Writer
+		progress func(clf.FilePos) error
+	)
+	snapshot := func() *checkpoint.Checkpoint {
+		sinkOff, err := out.Sync()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sessionize: session file sync:", err)
+		}
+		return &checkpoint.Checkpoint{
+			LogOffset: cur.Offset, LogFile: cur.File, LogPath: paths[cur.File],
+			SinkOffset: sinkOff, Tail: st.Snapshot(),
+		}
+	}
+	if o.ckptPath != "" {
+		ck, reason, err := checkpoint.Resume(checkpoint.OS, o.ckptPath)
 		if err != nil {
 			return err
 		}
-		defer dst.Close()
+		var why string
+		if cur, base, why, err = checkpoint.Recover(ck, paths, out, st); err != nil {
+			return err
+		}
+		if why != "" {
+			reason = why
+		}
+		if reason != "" {
+			fmt.Fprintln(os.Stderr, "sessionize: checkpoint unusable, starting over:", reason)
+		}
+		if cur != (clf.FilePos{}) {
+			fmt.Fprintf(os.Stderr, "sessionize: resuming %s from byte %d\n", paths[cur.File], cur.Offset)
+		}
+		ckw = checkpoint.NewWriter(checkpoint.OS, o.ckptPath, o.ckptEvery)
+		progress = func(pos clf.FilePos) error {
+			mu.Lock()
+			defer mu.Unlock()
+			cur = pos
+			// A failed save only costs recovery granularity: the previous
+			// checkpoint file stays valid (atomic rename), so keep streaming.
+			if _, err := ckw.MaybeSave(snapshot); err != nil {
+				fmt.Fprintln(os.Stderr, "sessionize: checkpoint:", err)
+			}
+			return nil
+		}
+	} else if out != nil {
+		// Without a checkpoint every run writes the file afresh.
+		if err := out.Reset(0); err != nil {
+			return err
+		}
 	}
-	out := bufio.NewWriter(dst)
-	// The expire sweep races Ingest's emits, so every write goes through one
-	// mutex; the sweep also flushes, so a downstream pipe sees expired
-	// sessions now rather than at the next buffer fill.
-	var mu sync.Mutex
+
+	// Caller holds mu. A failed write ends the run: with -checkpoint the last
+	// checkpoint stays valid and a rerun resumes from it. -stats-only does not
+	// apply with -checkpoint: the checkpoint's offsets describe the session
+	// file, which a resumed run must find complete.
+	statsOnly := o.statsOnly && o.ckptPath == ""
 	emit := func(s []session.Session) {
 		if statsOnly || len(s) == 0 {
 			return
 		}
-		if err := session.WriteAll(out, s); err != nil {
+		if err := write(s); err != nil {
 			fmt.Fprintln(os.Stderr, "sessionize:", err)
 			os.Exit(1)
 		}
@@ -342,198 +411,40 @@ func runStream(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths [
 		defer mu.Unlock()
 		emit(s)
 	}
+	// The sweep also flushes stdout, so a downstream pipe sees expired
+	// sessions now rather than at the next buffer fill.
 	stopExpire := startExpireLoop(expire, func(now time.Time) {
 		mu.Lock()
 		defer mu.Unlock()
 		emit(st.Expire(now))
-		if err := out.Flush(); err != nil {
+		if err := stdout.Flush(); err != nil {
 			fmt.Fprintln(os.Stderr, "sessionize:", err)
 			os.Exit(1)
 		}
 	})
-	in := core.Input{Paths: paths}
+	in := core.Input{Paths: paths, Start: cur}
 	if paths == nil {
 		in.Reader = bufio.NewReader(os.Stdin)
 	}
-	malformed, err := core.Run(st, in, core.RunOptions{Sink: sink, Cuts: cuts})
+	malformed, err := core.Run(st, in, core.RunOptions{Sink: sink, Progress: progress, Base: base, Cuts: cuts})
 	stopExpire()
 	if err != nil {
 		return err
 	}
 	emit(st.Flush())
-	if err := out.Flush(); err != nil {
+	if err := stdout.Flush(); err != nil {
 		return err
 	}
-	printStreamStats(cfg, st, malformed)
-	return nil
-}
-
-// validateResume decides whether a loaded checkpoint can position a resume
-// within the resolved input set, returning the start position or a non-empty
-// reason to fall back to a full replay. A checkpoint written before
-// multi-file support (no LogPath) is honored only against a single-file set;
-// otherwise the recorded path must still sit at the recorded index, so a
-// rotated or renamed set degrades to replay instead of resuming into the
-// wrong file. Plain-file offsets are bounds-checked; gzip offsets count
-// decoded bytes, so their validation happens when the decoder discards to
-// the offset.
-func validateResume(ck *checkpoint.Checkpoint, paths []string) (clf.FilePos, string) {
-	if ck.LogFile < 0 || ck.LogFile >= len(paths) {
-		return clf.FilePos{}, fmt.Sprintf("checkpoint file index %d outside the %d-file input set", ck.LogFile, len(paths))
-	}
-	target := paths[ck.LogFile]
-	switch {
-	case ck.LogPath == "" && len(paths) > 1:
-		return clf.FilePos{}, "single-file checkpoint cannot place itself in a multi-file set"
-	case ck.LogPath != "" && ck.LogPath != target:
-		return clf.FilePos{}, fmt.Sprintf("checkpoint was at %s, input set now has %s there", ck.LogPath, target)
-	}
-	if !clf.IsGzipFile(target) {
-		fi, err := os.Stat(target)
-		if err != nil {
-			return clf.FilePos{}, fmt.Sprintf("stat %s: %v", target, err)
-		}
-		if ck.LogOffset > fi.Size() {
-			return clf.FilePos{}, "checkpoint is ahead of the log"
+	if ckw != nil {
+		// The run is complete: record that, so a rerun replays nothing.
+		if err := ckw.Save(snapshot()); err != nil {
+			fmt.Fprintln(os.Stderr, "sessionize: final checkpoint:", err)
 		}
 	}
-	return clf.FilePos{File: ck.LogFile, Offset: ck.LogOffset}, ""
-}
-
-// runStreamCheckpointed is runStream made crash-safe: it resumes from the
-// latest valid checkpoint (restoring the sessionizer and truncating the
-// session file to the recorded offset, so the replayed log suffix re-emits
-// exactly the sessions the interruption cut off) and snapshots periodically
-// at chunk boundaries while streaming — across the whole multi-file set,
-// with (file index, byte offset) positions so a kill inside access.log.2.gz
-// resumes there. A missing, corrupt, or stale checkpoint falls back to a
-// full run from the start of the set. The optional expire sweep shares the
-// sink mutex with the write and snapshot paths, so every checkpoint records
-// a consistent (log position, session offset, open bursts) cut even while
-// expiry is emitting.
-func runStreamCheckpointed(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths []string, sessPath, ckptPath string, every time.Duration) error {
-	st, err := core.NewSessionizer(cfg, rho, pl.Shards, expire > 0)
-	if err != nil {
-		return err
-	}
-	ck, reason, err := checkpoint.Resume(checkpoint.OS, ckptPath)
-	if err != nil {
-		return err
-	}
-	if reason != "" {
-		fmt.Fprintln(os.Stderr, "sessionize: checkpoint unusable, starting over:", reason)
-	}
-	sf, err := os.OpenFile(sessPath, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	defer sf.Close()
-	sessInfo, err := sf.Stat()
-	if err != nil {
-		return err
-	}
-
-	var start clf.FilePos
-	var sinkOff int64
-	if ck != nil {
-		pos, why := validateResume(ck, paths)
-		switch {
-		case why != "":
-			fmt.Fprintln(os.Stderr, "sessionize: checkpoint stale, starting over:", why)
-		case ck.SinkOffset > sessInfo.Size():
-			fmt.Fprintln(os.Stderr, "sessionize: checkpoint is ahead of the session file, starting over")
-		default:
-			if err := st.Restore(ck.Tail); err != nil {
-				fmt.Fprintln(os.Stderr, "sessionize: checkpoint rejected, starting over:", err)
-			} else {
-				start, sinkOff = pos, ck.SinkOffset
-			}
+	if out != nil {
+		if err := out.Close(); err != nil {
+			return err
 		}
-	}
-	if err := sf.Truncate(sinkOff); err != nil {
-		return err
-	}
-	if _, err := sf.Seek(sinkOff, io.SeekStart); err != nil {
-		return err
-	}
-	if start.File > 0 || start.Offset > 0 {
-		fmt.Fprintf(os.Stderr, "sessionize: resuming %s from byte %d (session file at %d)\n",
-			paths[start.File], start.Offset, sinkOff)
-	}
-
-	w := checkpoint.NewWriter(checkpoint.OS, ckptPath, every)
-	var mu sync.Mutex
-	good := sinkOff
-	cur := start
-	var sinkErr error
-	// Caller holds mu.
-	emit := func(s []session.Session) {
-		if sinkErr != nil || len(s) == 0 {
-			return
-		}
-		if sinkErr = session.WriteAll(sf, s); sinkErr == nil {
-			good, sinkErr = sf.Seek(0, io.SeekCurrent)
-		}
-	}
-	stopExpire := startExpireLoop(expire, func(now time.Time) {
-		mu.Lock()
-		defer mu.Unlock()
-		if sinkErr != nil {
-			return
-		}
-		emit(st.Expire(now))
-	})
-	sink := func(s []session.Session) {
-		mu.Lock()
-		defer mu.Unlock()
-		emit(s)
-	}
-	progress := func(pos clf.FilePos) error {
-		mu.Lock()
-		defer mu.Unlock()
-		cur = pos
-		if sinkErr != nil {
-			return nil
-		}
-		// A failed save only costs recovery granularity: the previous
-		// checkpoint file stays valid (atomic rename), so keep streaming.
-		if _, err := w.MaybeSave(func() *checkpoint.Checkpoint {
-			if err := sf.Sync(); err != nil {
-				fmt.Fprintln(os.Stderr, "sessionize: session file sync:", err)
-			}
-			return &checkpoint.Checkpoint{
-				LogOffset: pos.Offset, LogFile: pos.File, LogPath: paths[pos.File],
-				SinkOffset: good, Tail: st.Snapshot(),
-			}
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "sessionize: checkpoint:", err)
-		}
-		return nil
-	}
-	malformed, err := core.Run(st, core.Input{Paths: paths, Start: start}, core.RunOptions{Sink: sink, Progress: progress})
-	stopExpire()
-	if err != nil {
-		return err
-	}
-	if sinkErr != nil {
-		return sinkErr
-	}
-	if err := session.WriteAll(sf, st.Flush()); err != nil {
-		return err
-	}
-	if err := sf.Sync(); err != nil {
-		return err
-	}
-	// The run is complete: record that, so a rerun replays nothing.
-	good, err = sf.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return err
-	}
-	if err := w.Save(&checkpoint.Checkpoint{
-		LogOffset: cur.Offset, LogFile: cur.File, LogPath: paths[cur.File],
-		SinkOffset: good, Tail: st.Snapshot(),
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "sessionize: final checkpoint:", err)
 	}
 	printStreamStats(cfg, st, malformed)
 	return nil

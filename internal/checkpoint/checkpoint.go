@@ -7,6 +7,14 @@
 // SinkOffset, and replays the log from LogOffset — the replayed suffix
 // re-emits exactly the sessions the crash cut off.
 //
+// That protocol lives here once, for every recoverable run (cmd/serve's live
+// tail and cmd/sessionize -checkpoint alike): SessionFile is the session
+// output, written batch by batch at a known-good offset whose synced size is
+// the SinkOffset a checkpoint records, and Recover validates a loaded
+// checkpoint against the input set and the session file, restores the
+// snapshot, and cuts the file back — or empties it for a full replay when
+// any check fails.
+//
 // Files are written atomically (temp file, fsync, rename) with a versioned
 // magic header and a CRC32 over the payload, so a reader either gets a
 // complete, intact checkpoint or a detectable error — never a torn one.
@@ -197,8 +205,30 @@ func Load(fsys FS, path string) (*Checkpoint, error) {
 		metricCorrupt.Inc()
 		return nil, fmt.Errorf("%w: negative offset (log=%d sink=%d)", ErrCorrupt, ck.LogOffset, ck.SinkOffset)
 	}
+	if err := validSpans(ck.DropSpans); err != nil {
+		metricCorrupt.Inc()
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
 	metricLoads.Inc()
 	return &ck, nil
+}
+
+// validSpans checks the drop ledger's invariants: every span is a non-empty
+// byte range holding at least one record and no more records than bytes, and
+// spans are sorted and disjoint. A span that breaks them would make the
+// reconciler size its read buffer from garbage.
+func validSpans(spans []DropSpan) error {
+	for i, sp := range spans {
+		switch {
+		case sp.Start < 0 || sp.End <= sp.Start:
+			return fmt.Errorf("drop span %d is [%d,%d)", i, sp.Start, sp.End)
+		case sp.Records < 1 || sp.Records > sp.End-sp.Start:
+			return fmt.Errorf("drop span %d [%d,%d) claims %d records", i, sp.Start, sp.End, sp.Records)
+		case i > 0 && sp.Start < spans[i-1].End:
+			return fmt.Errorf("drop span %d [%d,%d) overlaps or precedes [%d,%d)", i, sp.Start, sp.End, spans[i-1].Start, spans[i-1].End)
+		}
+	}
+	return nil
 }
 
 // Resume is Load for startup paths: it folds the three cases recovery cares

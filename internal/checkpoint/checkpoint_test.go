@@ -129,6 +129,30 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 	check("empty", nil)
 	check("garbage", []byte("not a checkpoint at all, but long enough to pass the size check"))
+
+	// Intact files whose drop ledger is nonsense: serve's reconciler would
+	// size a read buffer from it (an inverted span panicked in makeslice).
+	badSpans := map[string][]checkpoint.DropSpan{
+		"inverted span":           {{Start: 50, End: 10, Records: -2}},
+		"negative start":          {{Start: -8, End: 10, Records: 1}},
+		"empty span":              {{Start: 10, End: 10, Records: 1}},
+		"span without records":    {{Start: 0, End: 10, Records: 0}},
+		"more records than bytes": {{Start: 0, End: 10, Records: 11}},
+		"unsorted spans":          {{Start: 20, End: 30, Records: 1}, {Start: 0, End: 10, Records: 1}},
+		"overlapping spans":       {{Start: 0, End: 20, Records: 2}, {Start: 10, End: 30, Records: 2}},
+	}
+	for name, spans := range badSpans {
+		ck := sampleCheckpoint()
+		ck.LogOffset, ck.DropSpans = 100, spans
+		if err := checkpoint.Save(checkpoint.OS, path, ck); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, data)
+	}
 }
 
 // TestFailedSaveLeavesPreviousIntact: injected write/sync/rename faults make

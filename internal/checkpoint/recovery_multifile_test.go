@@ -1,11 +1,9 @@
 package checkpoint_test
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"errors"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -69,9 +67,9 @@ func rotateCorpus(t *testing.T, c corpus, dir string) []string {
 	return paths
 }
 
-// attemptFiles is attempt for the multi-file path: recover from the
-// checkpoint (validating its (file, path) anchor the way cmd/sessionize
-// does), replay the set from the recorded position via core.Run,
+// attemptFiles is attempt for the multi-file path: recover through
+// checkpoint.Recover (which validates the checkpoint's (file, path) anchor
+// against the set), replay the set from the recorded position via core.Run,
 // checkpoint every 3rd progress boundary through fsys, and — when
 // killAfter >= 0 — crash by failing the progress callback at that boundary,
 // leaving a torn tail on the session file.
@@ -86,38 +84,22 @@ func attemptFiles(t *testing.T, c corpus, paths []string, sinkPath, ckptPath str
 	if err != nil {
 		t.Fatal(err)
 	}
-	var start clf.FilePos
-	var sinkLen int64
-	if ck != nil {
-		if ck.LogFile < 0 || ck.LogFile >= len(paths) {
-			t.Fatalf("checkpoint file index %d outside the %d-file set", ck.LogFile, len(paths))
-		}
-		if ck.LogPath != paths[ck.LogFile] {
-			t.Fatalf("checkpoint anchored to %q, set has %q at index %d", ck.LogPath, paths[ck.LogFile], ck.LogFile)
-		}
-		if err := st.Restore(ck.Tail); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		start = clf.FilePos{File: ck.LogFile, Offset: ck.LogOffset}
-		sinkLen = ck.SinkOffset
-	}
-
-	f, err := os.OpenFile(sinkPath, os.O_CREATE|os.O_RDWR, 0o644)
+	out, err := checkpoint.OpenSessionFile(sinkPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if err := f.Truncate(sinkLen); err != nil {
+	defer out.Close()
+	start, _, reason, err := checkpoint.Recover(ck, paths, out, st)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Seek(sinkLen, io.SeekStart); err != nil {
-		t.Fatal(err)
+	if ck != nil && reason != "" {
+		t.Fatalf("checkpoint at file %d (%q) rejected: %s", ck.LogFile, ck.LogPath, reason)
 	}
-	bw := bufio.NewWriter(f)
 
 	boundaries := 0
 	sink := func(s []session.Session) {
-		if err := session.WriteAll(bw, s); err != nil {
+		if err := out.WriteBatch(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,13 +111,7 @@ func attemptFiles(t *testing.T, c corpus, paths []string, sinkPath, ckptPath str
 		if boundaries%3 != 0 {
 			return nil
 		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		size, err := f.Seek(0, io.SeekCurrent)
+		size, err := out.Sync()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,10 +127,7 @@ func attemptFiles(t *testing.T, c corpus, paths []string, sinkPath, ckptPath str
 	_, ingestErr := core.Run(st, core.Input{Paths: paths, Start: start}, core.RunOptions{Sink: sink, Progress: progress})
 
 	if killAfter >= 0 && errors.Is(ingestErr, errKilled) {
-		bw.Flush()
-		if _, err := f.WriteString("10.9.9.9 - - [torn mid-li"); err != nil {
-			t.Fatal(err)
-		}
+		appendTorn(t, sinkPath)
 		return false
 	}
 	if ingestErr != nil {
@@ -163,10 +136,7 @@ func attemptFiles(t *testing.T, c corpus, paths []string, sinkPath, ckptPath str
 	// A kill scheduled past the set's last boundary never fires and the pass
 	// runs to completion — fine for a small resumed suffix; the caller just
 	// stops crashing.
-	if err := session.WriteAll(bw, st.Flush()); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := out.WriteBatch(st.Flush()); err != nil {
 		t.Fatal(err)
 	}
 	return true

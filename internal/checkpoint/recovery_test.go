@@ -1,7 +1,6 @@
 package checkpoint_test
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -123,12 +122,15 @@ func referenceRun(t *testing.T, c corpus) []byte {
 	return buf.Bytes()
 }
 
-// attempt runs one serve-style ingestion pass: recover from the checkpoint
-// (if any), replay the log from the recorded offset, checkpoint every few
-// chunk boundaries through fsys, and — when killAt >= 0 — crash at that byte
-// offset, leaving a torn tail on the session file. It returns whether the
-// pass ran to completion (flushing open bursts into the session file).
-func attempt(t *testing.T, c corpus, sinkPath, ckptPath string, fsys checkpoint.FS, shards, workers int, killAt int64) bool {
+// attempt runs one serve-style ingestion pass over the log at logPath
+// (c.log on disk): recover through checkpoint.Recover — validate the
+// checkpoint, restore the snapshot, cut the session file back to the
+// recorded sink offset — replay the log from the recorded offset, checkpoint
+// every few chunk boundaries through fsys, and — when killAt >= 0 — crash
+// at that byte offset, leaving a torn tail on the session file. It returns
+// whether the pass ran to completion (flushing open bursts into the session
+// file).
+func attempt(t *testing.T, c corpus, logPath, sinkPath, ckptPath string, fsys checkpoint.FS, shards, workers int, killAt int64) bool {
 	t.Helper()
 
 	ck, _, err := checkpoint.Resume(fsys, ckptPath)
@@ -139,29 +141,22 @@ func attempt(t *testing.T, c corpus, sinkPath, ckptPath string, fsys checkpoint.
 	if err != nil {
 		t.Fatal(err)
 	}
-	var start, sinkLen int64
-	if ck != nil {
-		if err := st.Restore(ck.Tail); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		start, sinkLen = ck.LogOffset, ck.SinkOffset
-	}
-
-	f, err := os.OpenFile(sinkPath, os.O_CREATE|os.O_RDWR, 0o644)
+	out, err := checkpoint.OpenSessionFile(sinkPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	// Discard everything past the checkpoint's sink offset: those sessions
-	// will be re-emitted by the replay (this also removes any torn tail the
-	// previous crash left).
-	if err := f.Truncate(sinkLen); err != nil {
+	defer out.Close()
+	// Everything past the checkpoint's sink offset is discarded: those
+	// sessions will be re-emitted by the replay (this also removes any torn
+	// tail the previous crash left).
+	startPos, _, reason, err := checkpoint.Recover(ck, []string{logPath}, out, st)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Seek(sinkLen, io.SeekStart); err != nil {
-		t.Fatal(err)
+	if ck != nil && reason != "" {
+		t.Fatalf("recover: %s", reason)
 	}
-	bw := bufio.NewWriter(f)
+	start := startPos.Offset
 
 	var reader io.Reader = bytes.NewReader(c.log[start:])
 	if killAt >= 0 {
@@ -170,7 +165,7 @@ func attempt(t *testing.T, c corpus, sinkPath, ckptPath string, fsys checkpoint.
 
 	boundaries := 0
 	sink := func(s []session.Session) {
-		if err := session.WriteAll(bw, s); err != nil {
+		if err := out.WriteBatch(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,15 +174,9 @@ func attempt(t *testing.T, c corpus, sinkPath, ckptPath string, fsys checkpoint.
 		if boundaries%3 != 0 {
 			return nil
 		}
-		// A consistent point: flush the sink so SinkOffset covers every
-		// session emitted up to this chunk boundary, then snapshot.
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		size, err := f.Seek(0, io.SeekCurrent)
+		// A consistent point: SinkOffset covers every session emitted up to
+		// this chunk boundary, synced before the snapshot.
+		size, err := out.Sync()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,22 +197,40 @@ func attempt(t *testing.T, c corpus, sinkPath, ckptPath string, fsys checkpoint.
 		}
 		// The dying process manages a last partial write: a torn line that
 		// recovery must discard via the sink-offset truncation.
-		bw.Flush()
-		if _, err := f.WriteString("10.9.9.9 - - [torn mid-li"); err != nil {
-			t.Fatal(err)
-		}
+		appendTorn(t, sinkPath)
 		return false
 	}
 	if ingestErr != nil {
 		t.Fatal(ingestErr)
 	}
-	if err := session.WriteAll(bw, st.Flush()); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := out.WriteBatch(st.Flush()); err != nil {
 		t.Fatal(err)
 	}
 	return true
+}
+
+// appendTorn appends half a line to the session file, as a process killed
+// mid-write leaves it.
+func appendTorn(t *testing.T, sinkPath string) {
+	t.Helper()
+	f, err := os.OpenFile(sinkPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString("10.9.9.9 - - [torn mid-li"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeLog puts the corpus on disk as a one-file input set.
+func writeLog(t *testing.T, c corpus, dir string) string {
+	t.Helper()
+	logPath := filepath.Join(dir, "access.log")
+	if err := os.WriteFile(logPath, c.log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return logPath
 }
 
 func TestCrashRecoveryEquivalence(t *testing.T) {
@@ -239,6 +246,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				dir := t.TempDir()
+				logPath := writeLog(t, c, dir)
 				sinkPath := filepath.Join(dir, "sessions.txt")
 				ckptPath := filepath.Join(dir, "state.ckpt")
 				// Every 5th checkpoint-file write fails and every 7th is torn:
@@ -271,12 +279,12 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 				layouts := [][2]int{{1, 1}, {3, 2}, {4, 3}, {2, 4}, {3, 3}}
 				for i, killAt := range kills {
 					shards, workers := layouts[i%len(layouts)][0], layouts[i%len(layouts)][1]
-					if attempt(t, c, sinkPath, ckptPath, fsys, shards, workers, killAt) {
+					if attempt(t, c, logPath, sinkPath, ckptPath, fsys, shards, workers, killAt) {
 						t.Fatalf("seed %d: attempt with kill at %d ran to completion", seed, killAt)
 					}
 				}
 				final := layouts[len(kills)%len(layouts)]
-				if !attempt(t, c, sinkPath, ckptPath, fsys, final[0], final[1], -1) {
+				if !attempt(t, c, logPath, sinkPath, ckptPath, fsys, final[0], final[1], -1) {
 					t.Fatalf("seed %d: final attempt did not complete", seed)
 				}
 
@@ -301,10 +309,11 @@ func TestCrashRecoveryCorruptCheckpointFallsBack(t *testing.T) {
 	want := referenceRun(t, c)
 
 	dir := t.TempDir()
+	logPath := writeLog(t, c, dir)
 	sinkPath := filepath.Join(dir, "sessions.txt")
 	ckptPath := filepath.Join(dir, "state.ckpt")
 
-	if attempt(t, c, sinkPath, ckptPath, checkpoint.OS, 3, 2, int64(len(c.log)*2/3)) {
+	if attempt(t, c, logPath, sinkPath, ckptPath, checkpoint.OS, 3, 2, int64(len(c.log)*2/3)) {
 		t.Fatal("kill attempt ran to completion")
 	}
 	data, err := os.ReadFile(ckptPath)
@@ -318,7 +327,7 @@ func TestCrashRecoveryCorruptCheckpointFallsBack(t *testing.T) {
 	if ck, reason, err := checkpoint.Resume(checkpoint.OS, ckptPath); ck != nil || reason == "" || err != nil {
 		t.Fatalf("Resume on corrupt checkpoint = (%v, %q, %v), want detected corruption", ck, reason, err)
 	}
-	if !attempt(t, c, sinkPath, ckptPath, checkpoint.OS, 2, 3, -1) {
+	if !attempt(t, c, logPath, sinkPath, ckptPath, checkpoint.OS, 2, 3, -1) {
 		t.Fatal("full-replay attempt did not complete")
 	}
 	got, err := os.ReadFile(sinkPath)

@@ -40,7 +40,9 @@ func ParseLine(line string) (Session, error) {
 	}
 	base := time.Unix(0, 0).UTC()
 	for i, f := range strings.Fields(body) {
-		id, err := strconv.Atoi(f)
+		// Page ids are int32: parsing at that width rejects values that a
+		// wider parse would silently wrap into another page.
+		id, err := strconv.ParseInt(f, 10, 32)
 		if err != nil || id < 0 {
 			return Session{}, fmt.Errorf("session: bad page id %q in %q", f, line)
 		}

@@ -50,6 +50,47 @@ func TestParseLineEdgeCases(t *testing.T) {
 	}
 }
 
+// TestParseLinePageRange: page ids are int32, and an id outside that range
+// must be rejected rather than wrapped into some other page — the parser
+// re-ingests dead-letter journals, where a wrapped id would be a silently
+// wrong session.
+func TestParseLinePageRange(t *testing.T) {
+	cases := []struct {
+		line  string
+		pages []int32
+	}{
+		{"u:[0 2147483647]", []int32{0, 2147483647}},
+		{"u:[2147483648]", nil},
+		{"u:[4294967298]", nil},
+		{"u:[4294967298 2147483648]", nil},
+		{"u:[1 99999999999999999999]", nil},
+	}
+	for _, c := range cases {
+		s, err := ParseLine(c.line)
+		if c.pages == nil {
+			if err == nil {
+				t.Errorf("%q: accepted as pages %v, want an out-of-range error", c.line, s.Pages())
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", c.line, err)
+			continue
+		}
+		got := s.Pages()
+		if len(got) != len(c.pages) {
+			t.Errorf("%q: pages %v, want %v", c.line, got, c.pages)
+			continue
+		}
+		for i := range got {
+			if int32(got[i]) != c.pages[i] {
+				t.Errorf("%q: pages %v, want %v", c.line, got, c.pages)
+				break
+			}
+		}
+	}
+}
+
 func TestReadWriteAllRoundTrip(t *testing.T) {
 	in := []Session{
 		mk("alice", 1, 0, 2, 1, 3, 2),
